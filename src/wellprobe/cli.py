@@ -19,7 +19,7 @@ import math
 import sys
 
 from .dynamics import qfi_parabolic_time, truncation_residual
-from .entangled import qsnr_two_eigen, qsnr_two_polynomial
+from .entangled import _pair_formulas
 from .inference import crlb_experiment
 from .metrology import fi_energy, fi_position, qfi_static, qsnr_eigen, qsnr_polynomial
 from .states import Custom, Eigen, Parabolic, Polynomial, ProbeState, Superposition
@@ -65,7 +65,7 @@ def parse_state(text: str) -> ProbeState:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse a comma list of reals or an inclusive start:stop:count range."""
+    """Parse a comma list of finite reals or an inclusive start:stop:count range."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -75,6 +75,8 @@ def parse_grid(text: str) -> list[float]:
             count = int(parts[2])
         except ValueError as exc:
             raise UsageError(f"bad range {text!r}: {exc}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise UsageError(f"bad range {text!r}: start and stop must be finite")
         if count < 1 or stop < start:
             raise UsageError(f"bad range {text!r}: need count >= 1 and start <= stop")
         if count == 1:
@@ -82,9 +84,12 @@ def parse_grid(text: str) -> list[float]:
         step = (stop - start) / (count - 1)
         return [start + i * step for i in range(count)]
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad number list {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad number list {text!r}: values must be finite")
+    return values
 
 
 def parse_index_range(text: str) -> list[int]:
@@ -160,10 +165,7 @@ def cmd_energy(args) -> None:
     for n in range(1, args.nmax + 1):
         energy = 0.5 * (n * math.pi) ** 2
         p = _poly_order_for_energy(energy)
-        if p is None:
-            poly_field = ""
-        else:
-            poly_field = _fmt((1.0 + 4.0 * p) * (1.0 + 8.0 * p) / (4.0 * p - 1.0))
+        poly_field = "" if p is None else _fmt(qsnr_polynomial(p))
         rows.append([_fmt(energy), _fmt(qsnr_eigen(n)), poly_field])
     _emit(args.output, ["energy", "qsnr_eigen", "qsnr_poly"], rows)
 
@@ -183,10 +185,7 @@ def cmd_time(args) -> None:
 
 def cmd_entangled(args) -> None:
     indices = parse_index_range(args.range)
-    if args.family == "eigen":
-        joint, single = qsnr_two_eigen, qsnr_eigen
-    else:
-        joint, single = qsnr_two_polynomial, qsnr_polynomial
+    joint, single = _pair_formulas(args.family)
     rows = []
     for i in indices:
         for j in indices:
@@ -204,7 +203,10 @@ def cmd_entangled(args) -> None:
 def cmd_montecarlo(args) -> None:
     state = parse_state(args.state)
     widths = parse_grid(args.a)
-    sizes = [int(m) for m in parse_grid(args.M)]
+    sizes = parse_grid(args.M)
+    if not all(m.is_integer() for m in sizes):
+        raise UsageError(f"bad sample sizes {args.M!r}: need whole numbers")
+    sizes = [int(m) for m in sizes]
     rows = []
     for a in widths:
         cfg = WellConfig(width=a, truncation=args.truncation)

@@ -220,6 +220,15 @@ def qsnr_ghz(spec: GhzSpec) -> float:
     return total + bonus
 
 
+def _pair_formulas(family: str):
+    """(pair ratio, single-probe ratio) of a family; "poly" abbreviates "polynomial"."""
+    if family == "eigen":
+        return qsnr_two_eigen, qsnr_eigen
+    if family in ("polynomial", "poly"):
+        return qsnr_two_polynomial, qsnr_polynomial
+    raise ValueError(f"unknown family {family!r}; expected 'eigen' or 'polynomial'")
+
+
 def entanglement_gain_grid(family: str, indices) -> np.ndarray:
     """Matrix of pair gains gamma = Q_joint / (Q_i + Q_j) over an index range.
 
@@ -227,14 +236,7 @@ def entanglement_gain_grid(family: str, indices) -> np.ndarray:
     pair state needs distinct indices.  The polynomial grid uses the
     paper's orthogonal-branch formula :func:`qsnr_two_polynomial`.
     """
-    if family == "eigen":
-        joint = qsnr_two_eigen
-        single = qsnr_eigen
-    elif family == "polynomial":
-        joint = qsnr_two_polynomial
-        single = qsnr_polynomial
-    else:
-        raise ValueError(f"unknown family {family!r}; expected 'eigen' or 'polynomial'")
+    joint, single = _pair_formulas(family)
     idx = list(indices)
     out = np.full((len(idx), len(idx)), np.nan)
     for i, a in enumerate(idx):

@@ -14,22 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .quadrature import quadrature
-from .states import (
-    Custom,
-    Eigen,
-    Polynomial,
-    ProbeState,
-    Superposition,
-    TruncationWarning,
-    amplitudes,
-    d_wavefunction,
-    wavefunction,
-)
+from .states import Custom, ProbeState, TruncationWarning, amplitudes, d_wavefunction, wavefunction
 from .well import OverlapTable, WellConfig, build_overlap_table
 
 __all__ = [
@@ -46,34 +36,38 @@ __all__ = [
 ]
 
 
+def _over_width_squared(unit_value: float, config: WellConfig) -> float:
+    """Unit-width information rescaled to width a, unit_value / a^2, as a float."""
+    value = unit_value / config.width**2
+    if math.isinf(value):
+        raise OverflowError(f"information at width {config.width!r} exceeds the float range")
+    return value
+
+
 def qfi_static(state: ProbeState, config: WellConfig, table: OverlapTable | None = None) -> float:
     """QFI of a real static probe state with respect to the width.
 
-    Closed-form families are integrated directly: 4 times the integral of
-    the squared analytic width derivative.  Custom states go through the
-    truncated eigenbasis instead, using the overlap table, since their
-    profile is only known as a coefficient vector.
+    Every family is f(x; a) = g(x/a) / sqrt(a), so the QFI is its unit-width
+    value over a^2: 4 [int s^2 - (int g s)^2] / a^2 over [0, 1], with
+    s = g/2 + u g'.  Custom states go through the truncated eigenbasis
+    instead, using the overlap table (built at unit width unless given),
+    since their profile is only known as a coefficient vector.
     """
-    a = config.width
     if isinstance(state, Custom):
-        vec = amplitudes(state, config)
-        f = vec.coefficients
+        f = amplitudes(state, config).coefficients
         if table is None:
-            table = build_overlap_table(config)
+            table = build_overlap_table(replace(config, width=1.0))
         gram = f @ table.dpsi_dpsi @ f
         # for real f the overlap with the derivative is exactly zero by
         # antisymmetry of the psi_dpsi matrix; keep the term anyway so the
         # expression stays the honest pure-state formula
         mixed = f @ table.psi_dpsi @ f
-        return 4.0 * (gram - mixed**2)
-    norm_sq = quadrature(lambda x: d_wavefunction(state, config, x) ** 2, 0.0, a, tol=1e-10)
-    mixed = quadrature(
-        lambda x: wavefunction(state, config, x) * d_wavefunction(state, config, x),
-        0.0,
-        a,
-        tol=1e-10,
-    )
-    return 4.0 * (norm_sq - mixed**2)
+        return _over_width_squared(4.0 * (gram - mixed**2) * table.width**2, config)
+    unit = replace(config, width=1.0)
+    norm_sq = quadrature(lambda u: d_wavefunction(state, unit, u) ** 2, 0.0, 1.0, tol=1e-10)
+    mixed = quadrature(lambda u: wavefunction(state, unit, u) * d_wavefunction(state, unit, u),
+                       0.0, 1.0, tol=1e-10)
+    return _over_width_squared(4.0 * (norm_sq - mixed**2), config)
 
 
 def qsnr_eigen(n: int) -> float:
@@ -137,22 +131,21 @@ def qsnr_polynomial(p: int) -> float:
 def fi_position(state: ProbeState, config: WellConfig) -> float:
     """Fisher information of an ideal position measurement.
 
-    Integrates (d_a p)^2 / p for p(x|a) = f(x; a)^2.  The probability
-    vanishes at the walls, so the integrand is guarded: points where p is
-    zero contribute zero (their analytic limit for all families here), and
-    the integration range is clipped by a relative margin of 1e-12.
+    Integrates (d_a p)^2 / p for p(x|a) = f(x; a)^2 at unit width and
+    divides by a^2.  The probability vanishes at the walls, so the integrand
+    is guarded: points where p is zero contribute zero (their analytic limit
+    for all families here), and the unit interval is clipped by 1e-12.
     """
-    a = config.width
-    eps = 1e-12 * a
+    unit = replace(config, width=1.0)
 
-    def integrand(x):
-        f = wavefunction(state, config, x)
-        df = d_wavefunction(state, config, x)
+    def integrand(u):
+        f = wavefunction(state, unit, u)
+        df = d_wavefunction(state, unit, u)
         p = f * f
         dp = 2.0 * f * df
         return np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)
 
-    return quadrature(integrand, eps, a - eps, tol=1e-10)
+    return _over_width_squared(quadrature(integrand, 1e-12, 1.0 - 1e-12, tol=1e-10), config)
 
 
 def fi_energy(state: ProbeState, config: WellConfig) -> float:

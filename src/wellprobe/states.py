@@ -13,9 +13,17 @@ Four built-in families cover the use cases downstream:
 
 ``Custom`` takes an explicit (real) coefficient vector in the eigenbasis.
 
-All expansion coefficients are dimensionless and independent of the box
-width: rescaling x by a maps each family onto itself, so coefficients are
-computed once at unit width and cached.
+Every family is scale covariant: at width a its profile is
+
+    f(x; a) = g(x / a) / sqrt(a),
+
+with g the unit-width profile on u in [0, 1].  Each family defines, once and
+at unit width, g, the scaling term s(u) = g(u) / 2 + u g'(u), its eigenbasis
+amplitudes and its mean energy E_1.  Everything at width a follows: the
+width derivative at fixed x is -s(x / a) / a^(3/2), the amplitudes do not
+depend on a, and the mean energy is E_1 / a^2.  Eigen, Superposition and
+Custom are finite sums of levels sqrt(2) sin(n pi u) and share one
+definition built from their (level, coefficient) pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .quadrature import quadrature
-from .well import WellConfig, eigen_wavefunction, d_eigen_wavefunction
+from .well import WellConfig, eigen_wavefunction
 
 __all__ = [
     "TruncationWarning",
@@ -50,22 +58,52 @@ __all__ = [
 # expansion weight below which we do not bother warning about truncation
 _LOSS_TOL = 1e-6
 
+_SQRT2 = math.sqrt(2.0)
+
 
 class TruncationWarning(UserWarning):
     """Emitted when a basis truncation visibly bites the requested quantity."""
 
 
+class _Levels:
+    """Finite sum of levels, sum_n c_n sqrt(2) sin(n pi u), from (n, c_n) pairs."""
+
+    def _sum(self, u, norm, term):
+        parts = [(c * _SQRT2 / norm) * term(n * np.pi * u) for n, c in self._pairs() if c != 0.0]
+        return sum(parts[1:], parts[0])
+
+    def _g(self, u, norm=1.0):
+        return self._sum(u, norm, np.sin)
+
+    def _s(self, u, norm=1.0):
+        # with v = n pi u: g/2 + u g' = c (sqrt(2)/2) [sin(v) + 2 v cos(v)]
+        return self._sum(u, 2.0 * norm, lambda v: np.sin(v) + 2.0 * v * np.cos(v))
+
+    def _amplitudes(self, size):
+        coeff = np.zeros(size)
+        for n, c in self._pairs():
+            if n <= size:
+                coeff[n - 1] += c
+        return coeff
+
+    def _energy(self):
+        return math.fsum(c * c * 0.5 * (n * math.pi) ** 2 for n, c in self._pairs())
+
+
 @dataclass(frozen=True)
-class Eigen:
+class Eigen(_Levels):
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"quantum number must be >= 1, got {self.n}")
 
+    def _pairs(self):
+        return ((self.n, 1.0),)
+
 
 @dataclass(frozen=True)
-class Superposition:
+class Superposition(_Levels):
     """cos(alpha) |n> + sin(alpha) |m> with n != m."""
 
     n: int
@@ -77,6 +115,31 @@ class Superposition:
             raise ValueError(f"quantum numbers must be >= 1, got ({self.n}, {self.m})")
         if self.n == self.m:
             raise ValueError("superposition needs two distinct levels")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"mixing angle must be finite, got {self.alpha}")
+
+    def _pairs(self):
+        return ((self.n, math.cos(self.alpha)), (self.m, math.sin(self.alpha)))
+
+
+def _poly_height(p: int) -> float:
+    # normalization of 1 - (2u - 1)^(2p) on the unit interval
+    return math.sqrt((1.0 + 6.0 * p + 8.0 * p * p) / (8.0 * p * p))
+
+
+def _poly_profile(p: int, u: np.ndarray) -> np.ndarray:
+    """Unit-width polynomial bump evaluated at u in [0, 1]."""
+    return _poly_height(p) * (1.0 - (2.0 * u - 1.0) ** (2 * p))
+
+
+@lru_cache(maxsize=None)
+def _poly_coefficients(p: int, truncation: int) -> tuple:
+    """Eigenbasis expansion of the unit-width bump, by quadrature."""
+    unit = WellConfig(width=1.0, truncation=truncation)
+    return tuple(
+        quadrature(lambda x, n=n: eigen_wavefunction(n, unit, x) * _poly_profile(p, x), 0.0, 1.0, tol=1e-12)
+        for n in range(1, truncation + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -89,14 +152,46 @@ class Polynomial:
         if self.p < 1:
             raise ValueError(f"polynomial order must be >= 1, got {self.p}")
 
+    def _g(self, u, norm=1.0):
+        return _poly_profile(self.p, np.clip(u, 0.0, 1.0)) / norm
+
+    def _s(self, u, norm=1.0):
+        u = np.clip(u, 0.0, 1.0)
+        du = _poly_height(self.p) * (-4.0 * self.p) * (2.0 * u - 1.0) ** (2 * self.p - 1)
+        return (0.5 * _poly_profile(self.p, u) + u * du) / norm
+
+    def _amplitudes(self, size):
+        return np.array(_poly_coefficients(self.p, size))
+
+    def _energy(self):
+        return (1.0 + 6.0 * self.p + 8.0 * self.p * self.p) / (4.0 * self.p - 1.0)
+
+
+@lru_cache(maxsize=None)
+def _parabolic_coefficients(truncation: int) -> tuple:
+    """Closed-form expansion of x(a-x): 8 sqrt(15) / (n pi)^3 for odd n."""
+    return tuple(0.0 if n % 2 == 0 else 8.0 * math.sqrt(15.0) / (n * math.pi) ** 3
+                 for n in range(1, truncation + 1))
+
 
 @dataclass(frozen=True)
 class Parabolic:
-    pass
+    def _g(self, u, norm=1.0):
+        return (math.sqrt(30.0) / norm) * u * (1.0 - u)
+
+    def _s(self, u, norm=1.0):
+        # g/2 + u g' = sqrt(30) u (3/2 - 5u/2)
+        return (math.sqrt(30.0) / norm) * u * (1.5 - 2.5 * u)
+
+    def _amplitudes(self, size):
+        return np.array(_parabolic_coefficients(size))
+
+    def _energy(self):
+        return 5.0
 
 
 @dataclass(frozen=True)
-class Custom:
+class Custom(_Levels):
     """Explicit real eigenbasis coefficients, normalized to 1."""
 
     coefficients: tuple
@@ -110,8 +205,23 @@ class Custom:
             raise ValueError(f"coefficients must be unit norm, got norm^2 = {norm!r}")
         object.__setattr__(self, "coefficients", coeff)
 
+    def _pairs(self):
+        return tuple(enumerate(self.coefficients, start=1))
+
+    def _amplitudes(self, size):
+        if len(self.coefficients) > size:
+            raise ValueError(f"custom state has {len(self.coefficients)} coefficients but the truncation is {size}")
+        return super()._amplitudes(size)
+
 
 ProbeState = Union[Eigen, Superposition, Polynomial, Parabolic, Custom]
+
+
+def _family(state: ProbeState) -> ProbeState:
+    # every family defines _g(u, norm) = g(u) / norm, _s(u, norm), _amplitudes(size), _energy()
+    if not isinstance(state, ProbeState):
+        raise TypeError(f"unknown probe state {state!r}")
+    return state
 
 
 @dataclass(frozen=True)
@@ -127,93 +237,16 @@ class AmplitudeVector:
         return max(0.0, 1.0 - float(self.coefficients @ self.coefficients))
 
 
-def _poly_height(p: int) -> float:
-    # normalization of 1 - (2u - 1)^(2p) on the unit interval
-    return math.sqrt((1.0 + 6.0 * p + 8.0 * p * p) / (8.0 * p * p))
-
-
-def _poly_profile(p: int, u: np.ndarray) -> np.ndarray:
-    """Unit-width polynomial bump evaluated at u in [0, 1]."""
-    return _poly_height(p) * (1.0 - (2.0 * u - 1.0) ** (2 * p))
-
-
-def _poly_dprofile(p: int, u: np.ndarray) -> np.ndarray:
-    """du derivative of the unit-width bump."""
-    return _poly_height(p) * (-4.0 * p) * (2.0 * u - 1.0) ** (2 * p - 1)
-
-
-@lru_cache(maxsize=None)
-def _poly_coefficients(p: int, truncation: int) -> tuple:
-    """Eigenbasis expansion of the unit-width bump, by quadrature."""
-    unit = WellConfig(width=1.0, truncation=truncation)
-    out = []
-    for n in range(1, truncation + 1):
-        val = quadrature(
-            lambda x, n=n: eigen_wavefunction(n, unit, x) * _poly_profile(p, x),
-            0.0,
-            1.0,
-            tol=1e-12,
-        )
-        out.append(val)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _parabolic_coefficients(truncation: int) -> tuple:
-    """Closed-form expansion of x(a-x): 8 sqrt(15) / (n pi)^3 for odd n."""
-    out = []
-    for n in range(1, truncation + 1):
-        if n % 2 == 0:
-            out.append(0.0)
-        else:
-            out.append(8.0 * math.sqrt(15.0) / (n * math.pi) ** 3)
-    return tuple(out)
-
-
 def amplitudes(state: ProbeState, config: WellConfig) -> AmplitudeVector:
     """Expand a probe state in the truncated eigenbasis.
 
-    Warns with :class:`TruncationWarning` when the missing weight exceeds
-    ``1e-6`` (including the case of an eigenstate index beyond the basis).
+    The coefficients are the unit-width ones for every width.  Warns with
+    :class:`TruncationWarning` when the missing weight exceeds ``1e-6``
+    (including the case of a level beyond the basis).
     """
     size = config.truncation
-    coeff = np.zeros(size)
-    if isinstance(state, Eigen):
-        if state.n > size:
-            warnings.warn(
-                f"eigenstate index {state.n} exceeds truncation {size}; "
-                "expansion is identically zero",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        else:
-            coeff[state.n - 1] = 1.0
-    elif isinstance(state, Superposition):
-        for idx, c in ((state.n, math.cos(state.alpha)), (state.m, math.sin(state.alpha))):
-            if idx > size:
-                warnings.warn(
-                    f"superposition level {idx} exceeds truncation {size}",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
-            else:
-                coeff[idx - 1] += c
-    elif isinstance(state, Polynomial):
-        coeff[:] = _poly_coefficients(state.p, size)
-    elif isinstance(state, Parabolic):
-        coeff[:] = _parabolic_coefficients(size)
-    elif isinstance(state, Custom):
-        if len(state.coefficients) > size:
-            raise ValueError(
-                f"custom state has {len(state.coefficients)} coefficients "
-                f"but the truncation is {size}"
-            )
-        coeff[: len(state.coefficients)] = state.coefficients
-    else:
-        raise TypeError(f"unknown probe state {state!r}")
-
-    vec = AmplitudeVector(coefficients=coeff, truncation=size)
-    if not isinstance(state, (Eigen, Superposition)) and vec.truncation_loss > _LOSS_TOL:
+    vec = AmplitudeVector(coefficients=_family(state)._amplitudes(size), truncation=size)
+    if vec.truncation_loss > _LOSS_TOL:
         warnings.warn(
             f"truncated expansion misses weight {vec.truncation_loss:.3e} "
             f"(truncation {size})",
@@ -224,86 +257,34 @@ def amplitudes(state: ProbeState, config: WellConfig) -> AmplitudeVector:
 
 
 def wavefunction(state: ProbeState, config: WellConfig, x: np.ndarray) -> np.ndarray:
-    """Real-space profile of the probe state, zero outside the box."""
+    """Real-space profile g(x / a) / sqrt(a), zero outside the box."""
     a = config.width
     x = np.asarray(x, dtype=float)
-    if isinstance(state, Eigen):
-        return eigen_wavefunction(state.n, config, x)
-    if isinstance(state, Superposition):
-        return math.cos(state.alpha) * eigen_wavefunction(state.n, config, x) + math.sin(
-            state.alpha
-        ) * eigen_wavefunction(state.m, config, x)
-    if isinstance(state, Polynomial):
-        inside = (x >= 0) & (x <= a)
-        u = np.clip(x / a, 0.0, 1.0)
-        return np.where(inside, _poly_profile(state.p, u) / math.sqrt(a), 0.0)
-    if isinstance(state, Parabolic):
-        inside = (x >= 0) & (x <= a)
-        return np.where(inside, math.sqrt(30.0 / a**5) * x * (a - x), 0.0)
-    if isinstance(state, Custom):
-        vec = amplitudes(state, config)
-        out = np.zeros_like(x)
-        for i, c in enumerate(vec.coefficients):
-            if c != 0.0:
-                out += c * eigen_wavefunction(i + 1, config, x)
-        return out
-    raise TypeError(f"unknown probe state {state!r}")
+    inside = (x >= 0) & (x <= a)
+    # families fold norm into a scalar prefactor where they can: no extra array pass
+    return np.where(inside, _family(state)._g(x / a, math.sqrt(a)), 0.0)
 
 
 def d_wavefunction(state: ProbeState, config: WellConfig, x: np.ndarray) -> np.ndarray:
     """Width derivative of the real-space profile at fixed x.
 
-    For the scale-covariant families f(x; a) = f(x/a; 1) / sqrt(a) this is
-      -(1/a) [ f(x; a) / 2 + (x / a) f'(x / a; 1) / sqrt(a) ].
+    Differentiating f(x; a) = g(x / a) / sqrt(a) at fixed x, with u = x / a,
+      d_a f = -(1/a) [ g(u) / 2 + u g'(u) ] / sqrt(a) = -s(u) / a^(3/2),
+    zero outside the box.
     """
     a = config.width
     x = np.asarray(x, dtype=float)
-    if isinstance(state, Eigen):
-        return d_eigen_wavefunction(state.n, config, x)
-    if isinstance(state, Superposition):
-        return math.cos(state.alpha) * d_eigen_wavefunction(state.n, config, x) + math.sin(
-            state.alpha
-        ) * d_eigen_wavefunction(state.m, config, x)
-    if isinstance(state, Polynomial):
-        inside = (x >= 0) & (x <= a)
-        u = np.clip(x / a, 0.0, 1.0)
-        val = -(0.5 * _poly_profile(state.p, u) + u * _poly_dprofile(state.p, u)) / a**1.5
-        return np.where(inside, val, 0.0)
-    if isinstance(state, Parabolic):
-        inside = (x >= 0) & (x <= a)
-        val = math.sqrt(30.0 / a**5) * x * (-2.5 * (a - x) / a + 1.0)
-        return np.where(inside, val, 0.0)
-    if isinstance(state, Custom):
-        vec = amplitudes(state, config)
-        out = np.zeros_like(x)
-        for i, c in enumerate(vec.coefficients):
-            if c != 0.0:
-                out += c * d_eigen_wavefunction(i + 1, config, x)
-        return out
-    raise TypeError(f"unknown probe state {state!r}")
+    inside = (x >= 0) & (x <= a)
+    return np.where(inside, _family(state)._s(x / a, -(a**1.5)), 0.0)
 
 
 def mean_energy(state: ProbeState, config: WellConfig) -> float:
-    """Expectation of the Hamiltonian in the probe state.
+    """Expectation of the Hamiltonian in the probe state, E_1 / a^2.
 
-    For the polynomial family this has the closed form
-    (1 + 6p + 8p^2) / ((4p - 1) a^2); other families sum f_n^2 E_n.
+    The unit-width value E_1 is sum_n c_n^2 (n pi)^2 / 2 for level sums,
+    (1 + 6p + 8p^2) / (4p - 1) for the bump of order p and 5 for the parabola.
     """
-    if isinstance(state, Polynomial):
-        p = state.p
-        return (1.0 + 6.0 * p + 8.0 * p * p) / ((4.0 * p - 1.0) * config.width**2)
-    if isinstance(state, Parabolic):
-        return 5.0 / config.width**2
-    if isinstance(state, Eigen):
-        return 0.5 * (state.n * np.pi / config.width) ** 2
-    if isinstance(state, Superposition):
-        c, s = math.cos(state.alpha), math.sin(state.alpha)
-        pref = 0.5 * (np.pi / config.width) ** 2
-        return pref * (c * c * state.n**2 + s * s * state.m**2)
-    vec = amplitudes(state, config)
-    n = np.arange(1, vec.truncation + 1, dtype=float)
-    energies = 0.5 * (n * np.pi / config.width) ** 2
-    return float(vec.coefficients**2 @ energies)
+    return _family(state)._energy() / config.width**2
 
 
 def nbar(n: int, d: int, alpha: float) -> tuple[float, int]:

@@ -10,6 +10,7 @@ information quantity downstream is assembled from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class WellConfig:
     truncation: int = 50
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
 

@@ -1,5 +1,7 @@
 """Command-line surface: golden CSV output, grammar, exit codes."""
 
+import warnings
+
 import pytest
 
 from wellprobe.cli import UsageError, main, parse_grid, parse_index_range, parse_state
@@ -105,6 +107,36 @@ def test_invalid_state_parameters_are_usage_errors(capsys):
 def test_runtime_failures_exit_3(capsys):
     assert main(["static", "--state", "eigen:1", "--a", "-1"]) == 3
     assert capsys.readouterr().err.startswith("wellprobe:")
+
+
+def test_fractional_sample_size_is_a_usage_error(capsys):
+    assert main(["montecarlo", "--M", "2.5", "--replicas", "2"]) == 2
+    assert "2.5" in capsys.readouterr().err
+
+
+def test_nan_width_is_a_usage_error(capsys):
+    assert main(["static", "--state", "eigen:1", "--a", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_infinite_width_is_a_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["static", "--state", "eigen:1", "--a", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nan_mixing_angle_is_a_usage_error(capsys):
+    assert main(["static", "--state", "super:1:2:nan", "--a", "1"]) == 2
+    assert "super:1:2:nan" in capsys.readouterr().err
+
+
+def test_extreme_width_position_information(capsys):
+    assert main(["static", "--state", "eigen:1", "--a", "1e100"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    qfi, fi = float(row[2]), float(row[3])
+    assert fi > 0.0
+    assert format(fi, ".11g") == format(qfi, ".11g")
 
 
 def test_unknown_flag_exits_2():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellprobe.metrology import (
     MetrologyReport,
@@ -32,7 +34,7 @@ from wellprobe.states import (
     nbar,
     wavefunction,
 )
-from wellprobe.well import WellConfig
+from wellprobe.well import WellConfig, build_overlap_table
 
 CFG = WellConfig(width=1.0, truncation=50)
 
@@ -192,3 +194,45 @@ def test_report_rejects_fi_above_qfi():
         MetrologyReport(
             qfi=1.0, fi_position=2.0, fi_energy=0.0, qsnr=1.0, truncation=50, residual_estimate=0.0
         )
+
+
+def _custom_case(raw):
+    f = np.zeros(50)
+    f[: len(raw)] = np.array(raw) / math.sqrt(math.fsum(c * c for c in raw))
+    table = build_overlap_table(WellConfig(width=1.0, truncation=50))
+    qsnr = 4.0 * (f @ table.dpsi_dpsi @ f - (f @ table.psi_dpsi @ f) ** 2)
+    return Custom(tuple(f[: len(raw)])), qsnr
+
+
+# (state, width-independent closed-form QSNR) for every family
+_STATE_CASES = st.one_of(
+    st.integers(1, 10).map(lambda n: (Eigen(n), qsnr_eigen(n))),
+    st.tuples(st.integers(1, 8), st.integers(1, 7), st.floats(-math.pi, math.pi)).map(
+        lambda t: (Superposition(t[0], t[0] + t[1], t[2]), qsnr_superposition(t[0], t[0] + t[1], t[2]))
+    ),
+    st.integers(1, 12).map(lambda p: (Polynomial(p), qsnr_polynomial(p))),
+    st.just((Parabolic(), 15.0)),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)
+    .filter(lambda raw: math.fsum(c * c for c in raw) > 0.01)
+    .map(_custom_case),
+)
+
+
+@given(case=_STATE_CASES, exponent=st.floats(-150.0, 150.0))
+def test_extreme_widths_keep_closed_forms_and_optimality(case, exponent):
+    """Scale covariance holds at every representable width, not just near 1."""
+    state, closed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rep = report(state, WellConfig(width=10.0**exponent))
+    assert rep.qsnr == pytest.approx(closed, rel=1e-9)
+    assert rep.fi_position / rep.qfi == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("a", [1e-155, 1e300])
+def test_information_outside_the_float_range_raises(a):
+    """Q / a^2 that is not a float is an error, never a silent inf or 0."""
+    cfg = WellConfig(width=a)
+    for quantity in (qfi_static, fi_position):
+        with pytest.raises(ArithmeticError):
+            quantity(Eigen(1), cfg)

@@ -20,7 +20,7 @@ from wellprobe.states import (
     nbar,
     wavefunction,
 )
-from wellprobe.well import WellConfig
+from wellprobe.well import WellConfig, d_eigen_wavefunction, eigen_wavefunction
 
 CFG = WellConfig(width=1.0, truncation=50)
 
@@ -130,6 +130,24 @@ def test_width_derivative_matches_fd(state, a):
     dn = wavefunction(state, WellConfig(width=a - h, truncation=50), x)
     got = d_wavefunction(state, cfg, x)
     assert np.max(np.abs(got - (up - dn) / (2 * h))) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "state, levels",
+    [
+        (Eigen(3), [(3, 1.0)]),
+        (Superposition(1, 4, 0.7), [(1, math.cos(0.7)), (4, math.sin(0.7))]),
+        (Custom((0.6, 0.0, -0.48, 0.64)), [(1, 0.6), (3, -0.48), (4, 0.64)]),
+    ],
+)
+@pytest.mark.parametrize("a", [0.7, 2.3])
+def test_level_sums_match_the_well_eigenfunctions(state, levels, a):
+    cfg = WellConfig(width=a, truncation=50)
+    x = np.linspace(-0.1 * a, 1.1 * a, 97)
+    f = sum(c * eigen_wavefunction(n, cfg, x) for n, c in levels)
+    df = sum(c * d_eigen_wavefunction(n, cfg, x) for n, c in levels)
+    assert np.max(np.abs(wavefunction(state, cfg, x) - f)) < 1e-13 * np.max(np.abs(f))
+    assert np.max(np.abs(d_wavefunction(state, cfg, x) - df)) < 1e-13 * np.max(np.abs(df))
 
 
 def test_mean_energy_closed_forms():

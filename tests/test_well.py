@@ -36,6 +36,12 @@ def test_config_validation():
     assert WellConfig().truncation == 50
 
 
+@pytest.mark.parametrize("width", [math.inf, math.nan])
+def test_config_rejects_non_finite_width(width):
+    with pytest.raises(ValueError):
+        WellConfig(width=width)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 @pytest.mark.parametrize("a", WIDTHS)
 def test_energy_and_derivative(n, a):
