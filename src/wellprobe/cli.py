@@ -106,6 +106,19 @@ def parse_index_range(text: str) -> list[int]:
         raise UsageError(f"bad index range {text!r}: {exc}") from exc
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _open_output(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -204,8 +217,8 @@ def cmd_montecarlo(args) -> None:
     state = parse_state(args.state)
     widths = parse_grid(args.a)
     sizes = parse_grid(args.M)
-    if not all(m.is_integer() for m in sizes):
-        raise UsageError(f"bad sample sizes {args.M!r}: need whole numbers")
+    if not all(m.is_integer() and m >= 1 for m in sizes):
+        raise UsageError(f"bad sample sizes {args.M!r}: need whole numbers >= 1")
     sizes = [int(m) for m in sizes]
     rows = []
     for a in widths:
@@ -239,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--truncation",
-        type=int,
+        type=_int_at_least(1),
         default=50,
         help="eigenbasis size for truncated expansions (default 50)",
     )
@@ -277,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--state", default="poly:3", help="state descriptor")
     p_mc.add_argument("--a", default="1", help="true width(s)")
     p_mc.add_argument("--M", default="2000", help="samples per replica (comma list allowed)")
-    p_mc.add_argument("--replicas", type=int, default=200)
+    p_mc.add_argument("--replicas", type=_int_at_least(2), default=200)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--output", default=None)
     p_mc.set_defaults(func=cmd_montecarlo)

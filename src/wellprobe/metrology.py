@@ -37,8 +37,15 @@ __all__ = [
 
 
 def _over_width_squared(unit_value: float, config: WellConfig) -> float:
-    """Unit-width information rescaled to width a, unit_value / a^2, as a float."""
-    value = unit_value / config.width**2
+    """Unit-width information rescaled to width a, unit_value / a^2, as a float.
+
+    Outside about 1e+-154 the width's square is itself no float (it
+    overflows, or underflows to 0); that raises the same named error.
+    """
+    try:
+        value = unit_value / config.width**2
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
     if math.isinf(value):
         raise OverflowError(f"information at width {config.width!r} exceeds the float range")
     return value

@@ -84,6 +84,26 @@ def test_montecarlo_golden(capsys):
     assert capsys.readouterr().out == GOLDEN_MONTECARLO
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["static", "--state", "eigen:1", "--a", "1,2"],
+        ["static", "--state", "poly:1", "--a", "1,2"],
+        ["energy", "--nmax", "4"],
+        ["time", "--a", "1", "--t", "0:0.02:3"],
+        ["entangled", "--family", "eigen", "--range", "1:3"],
+        ["montecarlo", "--state", "poly:3", "--a", "1", "--M", "200", "--replicas", "30", "--seed", "0"],
+    ],
+    ids=lambda args: args[0] + ":" + args[2],
+)
+def test_golden_commands_are_byte_deterministic(args, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+
+
 def test_output_file_is_reproducible(tmp_path):
     first = tmp_path / "one.csv"
     second = tmp_path / "two.csv"
@@ -198,3 +218,30 @@ def test_parse_index_range_grammar():
 def test_truncation_flag_is_global(capsys):
     assert main(["--truncation", "20", "static", "--state", "eigen:1", "--a", "1"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_zero_sample_size_is_a_usage_error(capsys):
+    assert main(["montecarlo", "--M", "0"]) == 2
+    assert "'0'" in capsys.readouterr().err
+
+
+def test_single_replica_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["montecarlo", "--replicas", "1"])
+    assert info.value.code == 2
+    assert "--replicas" in capsys.readouterr().err
+
+
+def test_zero_truncation_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--truncation", "0", "static", "--state", "eigen:1", "--a", "1"])
+    assert info.value.code == 2
+    assert "--truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["2e154", "1e-300"])
+def test_width_outside_the_float_range_is_named(width, capsys):
+    assert main(["static", "--state", "eigen:1", "--a", width]) == 3
+    err = capsys.readouterr().err
+    assert f"width {float(width)!r}" in err
+    assert "float range" in err

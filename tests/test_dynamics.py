@@ -8,6 +8,7 @@ secular-tail prediction for the closed-vs-series truncation gap.
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from wellprobe.dynamics import (
     EvolvedState,
+    _overlap_products,
     evolved_amplitudes,
     qfi_parabolic_time,
     qfi_time,
@@ -26,6 +28,7 @@ from wellprobe.states import (
     Custom,
     Eigen,
     Parabolic,
+    Polynomial,
     Superposition,
     TruncationWarning,
     amplitudes,
@@ -40,7 +43,6 @@ from wellprobe.well import (
 )
 
 CFG = WellConfig(width=1.0, truncation=50)
-TABLE = build_overlap_table(CFG)
 
 # truncation-50 values at a=1, frozen after cross-checking each one against
 # a finite-difference evaluation of the same truncated state on a dense grid
@@ -86,7 +88,7 @@ def test_eigenstates_do_not_drift(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in np.linspace(0.0, 10.0, 21):
-            values.append(qfi_time(EvolvedState(Eigen(n), float(t), CFG), TABLE))
+            values.append(qfi_time(EvolvedState(Eigen(n), float(t), CFG)))
     spread = (max(values) - min(values)) / values[0]
     assert spread < 1e-10
 
@@ -94,7 +96,7 @@ def test_eigenstates_do_not_drift(n):
 def test_static_limit_matches_static_qfi():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q0 = qfi_time(EvolvedState(Parabolic(), 0.0, CFG), TABLE)
+        q0 = qfi_time(EvolvedState(Parabolic(), 0.0, CFG))
     assert q0 == pytest.approx(14.99992011, rel=1e-8)
     # the full-precision static value differs only by the truncation deficit
     assert q0 == pytest.approx(qfi_static(Parabolic(), CFG), rel=1e-5)
@@ -105,7 +107,7 @@ def test_frozen_parabolic_values(t, expect):
     # at these times the secular sum is visibly unconverged at N=50, and
     # the convergence warning is part of the contract
     with pytest.warns(TruncationWarning, match="not converged"):
-        value = qfi_time(EvolvedState(Parabolic(), t, CFG), TABLE)
+        value = qfi_time(EvolvedState(Parabolic(), t, CFG))
     assert value == pytest.approx(expect, rel=1e-8)
 
 
@@ -113,20 +115,20 @@ def test_frozen_parabolic_values(t, expect):
 def test_frozen_superposition_values(t, expect):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # finite superpositions are exact
-        value = qfi_time(EvolvedState(Superposition(1, 3, 0.3), t, CFG), TABLE)
+        value = qfi_time(EvolvedState(Superposition(1, 3, 0.3), t, CFG))
     assert value == pytest.approx(expect, rel=1e-8)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.01, 0.1, 0.37, 1.0])
 def test_two_mode_matches_hand_derivation(t):
-    value = qfi_time(EvolvedState(TWO_MODE, t, CFG), TABLE)
+    value = qfi_time(EvolvedState(TWO_MODE, t, CFG))
     assert value == pytest.approx(two_mode_exact(t), rel=1e-12)
 
 
 def test_early_evolution_can_lose_information():
     """The t^2 coefficient of the two-mode probe is negative (a real dip)."""
-    q0 = qfi_time(EvolvedState(TWO_MODE, 0.0, CFG), TABLE)
-    qh = qfi_time(EvolvedState(TWO_MODE, 1e-3, CFG), TABLE)
+    q0 = qfi_time(EvolvedState(TWO_MODE, 0.0, CFG))
+    qh = qfi_time(EvolvedState(TWO_MODE, 1e-3, CFG))
     assert qh < q0
     curvature = (qh - q0) / 1e-6
     assert curvature == pytest.approx(-32.0 * math.pi**4, rel=2e-3)
@@ -156,14 +158,13 @@ def _grid_qfi(state, t, a, size, npts=20001, ha=1e-6):
 def test_grid_evaluation_cross_check(state, t):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        value = qfi_time(EvolvedState(state, t, CFG), TABLE)
+        value = qfi_time(EvolvedState(state, t, CFG))
     assert value == pytest.approx(_grid_qfi(state, t, 1.0, 50), rel=1e-3)
 
 
 def test_assembly_matches_naive_loop():
     """Vectorized double sums against a direct complex-arithmetic loop."""
     cfg = WellConfig(width=1.3, truncation=8)
-    table = build_overlap_table(cfg)
     f = amplitudes(Custom((0.6, 0.0, 0.48, 0.64)), cfg).coefficients
     t = 0.21
 
@@ -185,8 +186,89 @@ def test_assembly_matches_naive_loop():
             ip_sd += f[n - 1] * f[m - 1] * ph * (dm * kron + overlap_psi_dpsi(n, m, cfg))
     naive = 4.0 * (ip_dd.real - abs(ip_sd) ** 2)
 
-    value = qfi_time(EvolvedState(Custom((0.6, 0.0, 0.48, 0.64)), t, cfg), table)
+    value = qfi_time(EvolvedState(Custom((0.6, 0.0, 0.48, 0.64)), t, cfg))
     assert value == pytest.approx(naive, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("a", [0.1, 0.3, 1.0, 3.0])
+def test_eigenstates_keep_the_static_closed_form(n, a):
+    """The centred secular and cross terms vanish exactly for an eigenstate."""
+    cfg = WellConfig(width=a, truncation=50)
+    exact = 4.0 * (n * n * math.pi**2 / 3.0 + 0.25) / a**2
+    for t in np.linspace(0.0, 10.0, 41):
+        value = qfi_time(EvolvedState(Eigen(n), float(t), cfg))
+        assert value == pytest.approx(exact, rel=1e-13)
+
+
+def _dense_qfi(state, t, cfg):
+    """4[<dPsi|dPsi> - |<Psi|dPsi>|^2] as complex bilinear forms of the dense tables."""
+    table = build_overlap_table(cfg)
+    f = amplitudes(state, cfg).coefficients
+    n = np.arange(1, cfg.truncation + 1, dtype=float)
+    c = f * np.exp(-1j * 0.5 * (n * math.pi / cfg.width) ** 2 * t)
+    y = -1j * t * (-((n * math.pi) ** 2) / cfg.width**3) * c
+    grad = (np.vdot(c, table.dpsi_dpsi @ c) + np.vdot(y, y) + 2.0 * np.vdot(y, table.psi_dpsi @ c)).real
+    overlap = np.vdot(c, table.psi_dpsi @ c) + np.vdot(c, y)
+    return 4.0 * (grad - abs(overlap) ** 2)
+
+
+_RANDOM_CUSTOM = np.random.default_rng(11).normal(size=12)
+_RANDOM_CUSTOM /= math.sqrt(math.fsum(_RANDOM_CUSTOM**2))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [Polynomial(3), Parabolic(), Superposition(1, 2, 0.7), Custom(tuple(_RANDOM_CUSTOM))],
+    ids=["poly3", "parabolic", "super", "custom"],
+)
+@pytest.mark.parametrize("size", [50, 400])
+def test_structured_products_match_dense_tables(state, size):
+    for a in (0.6, 1.0, 2.5):
+        cfg = WellConfig(width=a, truncation=size)
+        for t in (0.0, 0.013, 0.3, 1.0, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                value = qfi_time(EvolvedState(state, t * a * a, cfg))
+                dense = _dense_qfi(state, t * a * a, cfg)
+            assert value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 50, 400])
+def test_overlap_products_match_dense_tables(size):
+    """FFT products against the unit-width tables, corners and diagonals included."""
+    rng = np.random.default_rng(size)
+    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+    table = build_overlap_table(WellConfig(width=1.0, truncation=size))
+    bc, cc = _overlap_products(c)
+    for fast, dense in ((bc, table.psi_dpsi @ c), (cc, table.dpsi_dpsi @ c)):
+        # B is 0 at size 1, so the scale also counts the input
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * (np.max(np.abs(dense)) + np.max(np.abs(c)))
+
+
+def test_convergence_probe_is_the_smaller_basis():
+    """The warned drift is the relative change to a run at ten fewer states."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        small = qfi_time(EvolvedState(Parabolic(), 1.0, WellConfig(width=1.0, truncation=30)))
+    with pytest.warns(TruncationWarning) as record:
+        big = qfi_time(EvolvedState(Parabolic(), 1.0, WellConfig(width=1.0, truncation=40)))
+    assert f"moved by {abs(big - small) / abs(big):.3e} relative" in str(record[0].message)
+
+
+def test_large_basis_allocates_no_dense_table():
+    ev = EvolvedState(Parabolic(), 0.7, WellConfig(width=1.0, truncation=1600))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        qfi_time(ev)  # warm the coefficient and kernel caches
+        tracemalloc.start()
+        try:
+            qfi_time(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one 1600 x 1600 float table alone is 20 MB
+    assert peak <= 4_000_000
 
 
 def test_closed_form_static_limit():
@@ -206,10 +288,9 @@ def test_closed_vs_series_gap_is_the_secular_tail(t):
     gaps = {}
     for size in (50, 100):
         cfg = WellConfig(width=1.0, truncation=size)
-        table = build_overlap_table(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            series = qfi_time(EvolvedState(Parabolic(), t, cfg), table)
+            series = qfi_time(EvolvedState(Parabolic(), t, cfg))
         gaps[size] = qfi_parabolic_time(cfg, t) - series
         odd_tail = np.arange(size + 1, 2_000_001, 2, dtype=float)
         predicted = 4.0 * t * t * float(np.sum(960.0 / (math.pi * odd_tail) ** 2))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellprobe.quadrature import quadrature
 from wellprobe.states import (
@@ -178,3 +180,31 @@ def test_nbar_rounding():
     assert nbar(1, 2, 0.41)[0] == pytest.approx(1.507, abs=1e-3)
     with pytest.raises(ValueError):
         nbar(0, 1, 0.1)
+
+
+def _unit_custom(raw):
+    norm = math.sqrt(math.fsum(c * c for c in raw))
+    return Custom(tuple(c / norm for c in raw))
+
+
+_FAMILIES = st.one_of(
+    st.integers(1, 10).map(Eigen),
+    st.tuples(st.integers(1, 8), st.integers(1, 7), st.floats(-math.pi, math.pi)).map(
+        lambda t: Superposition(t[0], t[0] + t[1], t[2])
+    ),
+    st.integers(1, 12).map(Polynomial),
+    st.just(Parabolic()),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8)
+    .filter(lambda raw: math.fsum(c * c for c in raw) > 0.01)
+    .map(_unit_custom),
+)
+
+
+@given(state=_FAMILIES)
+def test_real_states_have_no_mixed_term(state):
+    """int g s du over [0, 1] is 0: g s = d/du (u g^2 / 2) and g(1) = 0."""
+    unit = WellConfig(width=1.0, truncation=50)
+    mixed = quadrature(
+        lambda u: wavefunction(state, unit, u) * d_wavefunction(state, unit, u), 0.0, 1.0, tol=1e-12
+    )
+    assert abs(mixed) < 1e-9
