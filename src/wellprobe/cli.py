@@ -17,8 +17,9 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
-from .dynamics import qfi_parabolic_time, truncation_residual
+from .dynamics import _relative_change, qfi_parabolic_time
 from .entangled import _pair_formulas
 from .inference import crlb_experiment
 from .metrology import fi_energy, fi_position, qfi_static, qsnr_eigen, qsnr_polynomial
@@ -65,7 +66,7 @@ def parse_state(text: str) -> ProbeState:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse a comma list of finite reals or an inclusive start:stop:count range."""
+    """Parse a non-empty comma list of finite reals or an inclusive start:stop:count range."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -87,23 +88,27 @@ def parse_grid(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad number list {text!r}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"bad number list {text!r}: values must be finite")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad number list {text!r}: need one or more finite values")
     return values
 
 
 def parse_index_range(text: str) -> list[int]:
-    """Parse an inclusive lo:hi integer range or a comma list."""
+    """Parse an inclusive lo:hi range or a comma list of level indices >= 1."""
     try:
         if ":" in text:
             lo_s, hi_s = text.split(":")
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise UsageError(f"bad index range {text!r}: stop below start")
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+            indices = list(range(lo, hi + 1))
+        else:
+            indices = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad index range {text!r}: {exc}") from exc
+    if not indices or min(indices) < 1:
+        raise UsageError(f"bad index range {text!r}: need indices >= 1")
+    return indices
 
 
 def _int_at_least(low: int):
@@ -186,13 +191,16 @@ def cmd_energy(args) -> None:
 def cmd_time(args) -> None:
     widths = parse_grid(args.a)
     times = parse_grid(args.t)
+    if min(times) < 0.0:
+        raise UsageError(f"bad time grid {args.t!r}: times must be >= 0")
     rows = []
     for a in widths:
         cfg = WellConfig(width=a, truncation=args.truncation)
+        fine_cfg = replace(cfg, truncation=2 * args.truncation)
         for t in times:
-            qsnr = a * a * qfi_parabolic_time(cfg, t)
-            residual = truncation_residual(cfg, t, args.truncation, 2 * args.truncation)
-            rows.append([_fmt(a), _fmt(t), _fmt(qsnr), _fmt(residual)])
+            qfi = qfi_parabolic_time(cfg, t)
+            residual = _relative_change(qfi, qfi_parabolic_time(fine_cfg, t))
+            rows.append([_fmt(a), _fmt(t), _fmt(a * a * qfi), _fmt(residual)])
     _emit(args.output, ["a", "t", "qsnr", "residual"], rows)
 
 
@@ -270,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_static.set_defaults(func=cmd_static)
 
     p_energy = sub.add_parser("energy", help="eigen vs bump-family QSNR on a shared energy axis")
-    p_energy.add_argument("--nmax", type=int, default=30, help="highest level (default 30)")
+    p_energy.add_argument("--nmax", type=_int_at_least(1), default=30, help="highest level (default 30)")
     p_energy.add_argument("--output", default=None)
     p_energy.set_defaults(func=cmd_energy)
 

@@ -218,6 +218,11 @@ def truncation_residual(cfg: WellConfig, t: float, n1: int, n2: int) -> float:
         raise ValueError(f"need n2 >= n1, got ({n1}, {n2})")
     coarse = qfi_parabolic_time(replace(cfg, truncation=n1), t)
     fine = qfi_parabolic_time(replace(cfg, truncation=n2), t)
+    return _relative_change(coarse, fine)
+
+
+def _relative_change(coarse: float, fine: float) -> float:
+    """|fine - coarse| / |fine|, the residual that :func:`truncation_residual` reports."""
     return abs(fine - coarse) / abs(fine)
 
 

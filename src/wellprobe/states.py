@@ -29,6 +29,7 @@ definition built from their (level, coefficient) pairs.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,8 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import quadrature
-from .well import WellConfig, eigen_wavefunction
+from .well import WellConfig
 
 __all__ = [
     "TruncationWarning",
@@ -133,24 +133,58 @@ def _poly_profile(p: int, u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _poly_coefficients(p: int, truncation: int) -> tuple:
-    """Eigenbasis expansion of the unit-width bump, by quadrature."""
-    unit = WellConfig(width=1.0, truncation=truncation)
-    return tuple(
-        quadrature(lambda x, n=n: eigen_wavefunction(n, unit, x) * _poly_profile(p, x), 0.0, 1.0, tol=1e-12)
-        for n in range(1, truncation + 1)
-    )
+def _poly_coefficients(p: int, truncation: int) -> np.ndarray:
+    """Exact eigenbasis expansion of the unit-width bump of order p.
+
+    With w = 2u - 1 and k = n pi / 2 the level sqrt(2) sin(n pi u) is
+    sqrt(2) sin(k w + k).  The bump is even in w, so even levels vanish.
+    For odd n, sin(k) = sigma = +-1 and cos(k) = 0, so with h the bump's
+    height
+
+        f_n = sqrt(2) h sigma int_0^1 (1 - w^(2p)) cos(k w) dw
+            = sqrt(2) h (J_0 - J_2p),   J_m = sigma int_0^1 w^m cos(k w) dw.
+
+    Integrating by parts twice gives J_m = 1/k - m (m - 1) / k^2 J_{m-2}
+    with J_0 = 1/k, and D_m = J_0 - J_m obeys
+
+        D_m = m (m - 1) / k^2 (1/k - D_{m-2}),   D_0 = 0.
+
+    Each forward step multiplies the error in its input by m (m - 1) / k^2,
+    so the forward recurrence runs only on the levels with k^2 > 2p (2p - 1).
+    On the first few levels J runs backward instead,
+    J_{m-2} = (1/k - J_m) k^2 / (m (m - 1)), from J = 0 at m = 4p + 80 down
+    to m = 2p: every step shrinks the start error by k^2 / (m (m - 1)) < 1.
+    The split and the start depend on p alone, so the expansion in N levels
+    is a bit-identical prefix of the one in 2N.  Both loops run over all
+    their levels at once: O(p N) work.  The result is cached and read-only.
+    """
+    k = np.arange(1.0, truncation + 1.0, 2.0) * (math.pi / 2.0)  # odd levels
+    inv_k, kk = 1.0 / k, k * k
+    split = int(np.searchsorted(kk, 2 * p * (2 * p - 1), side="right"))
+    low, inv_low = kk[:split], inv_k[:split]
+    moment = np.zeros(split)
+    for m in range(4 * p + 80, 2 * p, -2):
+        moment = (inv_low - moment) * (low / (m * (m - 1)))
+    high, inv_high = kk[split:], inv_k[split:]
+    d_high = np.zeros(high.size)
+    for m in range(2, 2 * p + 1, 2):
+        d_high = m * (m - 1) / high * (inv_high - d_high)
+    d = np.concatenate((inv_low - moment, d_high))
+    coeff = np.zeros(truncation)
+    coeff[::2] = (_SQRT2 * _poly_height(p)) * d
+    coeff.flags.writeable = False
+    return coeff
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Bump profile with flatness exponent p >= 1."""
+    """Bump profile with a whole flatness exponent p >= 1."""
 
     p: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"polynomial order must be >= 1, got {self.p}")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
+            raise ValueError(f"polynomial order must be a whole number >= 1, got {self.p!r}")
 
     def _g(self, u, norm=1.0):
         return _poly_profile(self.p, np.clip(u, 0.0, 1.0)) / norm

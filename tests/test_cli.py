@@ -245,3 +245,26 @@ def test_width_outside_the_float_range_is_named(width, capsys):
     err = capsys.readouterr().err
     assert f"width {float(width)!r}" in err
     assert "float range" in err
+
+
+def test_negative_time_is_a_usage_error(capsys):
+    assert main(["time", "--t=-1:0:2"]) == 2
+    assert "'-1:0:2'" in capsys.readouterr().err
+
+
+def test_zero_level_index_is_a_usage_error(capsys):
+    assert main(["entangled", "--family", "eigen", "--range", "0:2"]) == 2
+    assert "'0:2'" in capsys.readouterr().err
+
+
+def test_zero_nmax_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["energy", "--nmax", "0"])
+    assert info.value.code == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["static", "--state", "eigen:1", "--a", ","], ["time", "--t", ""]])
+def test_empty_grid_is_a_usage_error(args, capsys):
+    assert main(args) == 2
+    assert "one or more finite values" in capsys.readouterr().err

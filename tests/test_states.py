@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,3 +209,64 @@ def test_real_states_have_no_mixed_term(state):
         lambda u: wavefunction(state, unit, u) * d_wavefunction(state, unit, u), 0.0, 1.0, tol=1e-12
     )
     assert abs(mixed) < 1e-9
+
+
+def _bump_amplitudes(p, size):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return amplitudes(Polynomial(p), WellConfig(width=1.0, truncation=size)).coefficients
+
+
+def _bump_overlap_mp(p, n):
+    """40-digit reference: int_0^1 sqrt(2) sin(n pi u) g(u) du by Gauss-Legendre."""
+    with mpmath.workdps(40):
+        height = mpmath.sqrt(mpmath.mpf(1 + 6 * p + 8 * p * p) / (8 * p * p))
+        value = mpmath.quad(
+            lambda u: mpmath.sqrt(2) * mpmath.sin(n * mpmath.pi * u) * height * (1 - (2 * u - 1) ** (2 * p)),
+            [0, mpmath.mpf(1) / 2, 1],
+            method="gauss-legendre",
+        )
+        return float(value)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 15])
+def test_polynomial_amplitudes_match_high_precision_overlaps(p):
+    # levels on both sides of k^2 = 2p (2p - 1), where the recurrence changes direction
+    coeff = _bump_amplitudes(p, 41)
+    for n in (1, 3, 5, 7, 9, 21, 41):
+        assert abs(coeff[n - 1] - _bump_overlap_mp(p, n)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [1, 3, 15, 40])
+def test_polynomial_amplitudes_keep_parseval_in_a_large_basis(p):
+    coeff = _bump_amplitudes(p, 20000)
+    assert abs(1.0 - coeff @ coeff) <= 1e-14
+
+
+def test_polynomial_one_has_the_parabolic_amplitudes():
+    bump = _bump_amplitudes(1, 1600)
+    parabola = amplitudes(Parabolic(), WellConfig(width=1.0, truncation=1600)).coefficients
+    assert np.all(np.abs(bump - parabola) <= 1e-14 * np.abs(parabola))
+
+
+@pytest.mark.parametrize("p", [1, 4, 15])
+def test_polynomial_even_levels_are_exactly_zero(p):
+    coeff = _bump_amplitudes(p, 400)
+    assert np.all(coeff[1::2] == 0.0)
+    assert np.all(coeff[0::2] != 0.0)
+
+
+@pytest.mark.parametrize("p", [1, 3, 15])
+def test_polynomial_small_basis_is_a_prefix_of_the_large_one(p):
+    assert _bump_amplitudes(p, 50).tobytes() == _bump_amplitudes(p, 1600)[:50].tobytes()
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, True, "3", None])
+def test_polynomial_rejects_a_non_integer_order(order):
+    with pytest.raises(ValueError):
+        Polynomial(order)
+
+
+def test_polynomial_accepts_numpy_integer_orders():
+    state = Polynomial(np.int64(3))
+    assert np.array_equal(amplitudes(state, CFG).coefficients, amplitudes(Polynomial(3), CFG).coefficients)
