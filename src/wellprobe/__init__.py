@@ -45,7 +45,7 @@ from .metrology import (
     report,
     sld_matrix,
 )
-from .quadrature import QuadratureError, quadrature, quadrature_2d
+from .quadrature import QuadratureError, quadrature
 from .states import (
     AmplitudeVector,
     Custom,
@@ -123,7 +123,6 @@ __all__ = [
     "qsnr_two_polynomial",
     "qsnr_w3",
     "quadrature",
-    "quadrature_2d",
     "report",
     "sample_positions",
     "short_time_coefficient",

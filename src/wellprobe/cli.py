@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--a", default="1", help="true width(s)")
     p_mc.add_argument("--M", default="2000", help="samples per replica (comma list allowed)")
     p_mc.add_argument("--replicas", type=_int_at_least(2), default=200)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=_int_at_least(0), default=0)
     p_mc.add_argument("--output", default=None)
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrology import fi_position
-from .states import ProbeState, wavefunction
+from .states import ProbeState, d_wavefunction, wavefunction
 from .well import WellConfig
 
 __all__ = [
@@ -53,24 +53,42 @@ class EstimationResult:
     crlb_ratio: float
 
 
-def sample_positions(state: ProbeState, config: WellConfig, m: int, seed: int) -> SampleBatch:
-    """Draw ``m`` independent positions from the probe's Born distribution.
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
-    Inverse-CDF sampling on a 4096-point table; deterministic per seed.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one sample, got {m}")
-    a = config.width
-    xs = np.linspace(0.0, a, _CDF_POINTS)
+
+def _cdf_table(state: ProbeState, config: WellConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and normalized cumulative distribution on the 4096-point grid."""
+    xs = np.linspace(0.0, config.width, _CDF_POINTS)
     pdf = wavefunction(state, config, xs) ** 2
     steps = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     if cdf[-1] <= 0.0 or np.any(np.diff(cdf) < 0.0):
         raise RuntimeError("cumulative distribution table is not monotone")
     cdf /= cdf[-1]
+    return xs, cdf
+
+
+def _draw(table, state: ProbeState, config: WellConfig, m: int, seed: int) -> SampleBatch:
+    xs, cdf = table
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     draws = np.interp(rng.random(m), cdf, xs)
-    return SampleBatch(outcomes=draws, true_width=a, state=state, seed=seed)
+    return SampleBatch(outcomes=draws, true_width=config.width, state=state, seed=seed)
+
+
+def sample_positions(state: ProbeState, config: WellConfig, m: int, seed: int) -> SampleBatch:
+    """Draw ``m`` independent positions from the probe's Born distribution.
+
+    Inverse-CDF sampling: the Born density is tabulated on 4096 points of
+    [0, a], integrated by the trapezoid rule, and ``m`` uniforms from the
+    stream seeded by ``seed`` are interpolated through it.  Deterministic
+    per seed; the seed must be a non-negative integer.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one sample, got {m}")
+    _check_seed(seed)
+    return _draw(_cdf_table(state, config), state, config, m, seed)
 
 
 def log_likelihood(batch: SampleBatch, candidate_width: float) -> float:
@@ -91,12 +109,67 @@ def log_likelihood(batch: SampleBatch, candidate_width: float) -> float:
     return float(np.sum(np.log(p)))
 
 
+def _score(batch: SampleBatch, candidate_width: float) -> float:
+    """Width derivative of the log-likelihood, 2 sum d_a psi(x_i) / psi(x_i).
+
+    For every family this is -(2/a) sum s(u_i) / g(u_i) with u_i = x_i / a.
+    An outcome on a node of the profile makes it infinite or undefined.
+    """
+    cfg = WellConfig(width=candidate_width)
+    x = batch.outcomes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * float(np.sum(d_wavefunction(batch.state, cfg, x) / wavefunction(batch.state, cfg, x)))
+
+
+def _score_root(batch: SampleBatch, lo: float, hi: float, tol: float) -> float | None:
+    """Root of the score in [lo, hi] by safeguarded secant steps, or None.
+
+    None unless the score falls from positive at ``lo`` to negative at
+    ``hi``.  Each evaluation replaces the bracket end of its sign; a secant
+    step that leaves the bracket, or follows a non-finite score, becomes a
+    bisection.  A step of at most ``tol`` ends the search once the bracket
+    is within 2 ``tol``; before that it is lengthened to ``tol`` into the
+    bracket, so a secant through a huge score next to a node of the profile
+    cannot stop the search early.
+    """
+    f_lo, f_hi = _score(batch, lo), _score(batch, hi)
+    if not f_lo > 0.0 > f_hi:
+        return None
+    x0, f0, x1, f1 = lo, f_lo, hi, f_hi
+    while True:
+        x = 0.5 * (lo + hi)
+        if f1 != f0:
+            secant = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if lo < secant < hi:
+                x = secant
+        if abs(x - x1) <= tol:
+            if hi - lo <= 2.0 * tol:
+                return x
+            x = x1 + tol if x1 == lo else x1 - tol
+        fx = _score(batch, x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        if not math.isfinite(fx):
+            fx = math.nan  # the next step bisects
+        x0, f0, x1, f1 = x1, f1, x, fx
+
+
 def mle_estimate(batch: SampleBatch, search_lo: float, search_hi: float) -> float:
-    """Maximum-likelihood width by golden-section search.
+    """Maximum-likelihood width: golden section, then a root of the score.
 
     The effective lower bracket is the largest outcome (below it the
-    likelihood is -inf).  Warns when the optimum sits at the upper bracket,
-    since that means the interval clipped the maximum.
+    likelihood is -inf).  Golden-section search on the log-likelihood first
+    narrows [lo, hi] to a coarse bracket of width 1e-2 * search_hi; this
+    picks the likelihood's lobe.  Secant steps on the analytic score, kept
+    inside that bracket, then converge on the stationary point until a step
+    is at most 1e-8 * search_hi.  When the score does not change sign across
+    the coarse bracket, golden section runs on down to that tolerance
+    instead.  Warns when the optimum sits at the upper bracket, since that
+    means the interval clipped the maximum.
     """
     lo = max(search_lo, float(batch.outcomes.max()))
     hi = search_hi
@@ -110,16 +183,24 @@ def mle_estimate(batch: SampleBatch, search_lo: float, search_hi: float) -> floa
     fd = log_likelihood(batch, d)
     if math.isinf(fc) and math.isinf(fd) and fc < 0 and fd < 0:
         raise RuntimeError("likelihood is -inf across the search interval")
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = log_likelihood(batch, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = log_likelihood(batch, d)
-    best = 0.5 * (lo + hi)
+
+    def golden_section(width):
+        nonlocal lo, hi, c, d, fc, fd
+        while hi - lo > width:
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = log_likelihood(batch, c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = log_likelihood(batch, d)
+
+    golden_section(1e-2 * search_hi)
+    best = _score_root(batch, lo, hi, tol)
+    if best is None:
+        golden_section(tol)
+        best = 0.5 * (lo + hi)
     if search_hi - best <= 10.0 * tol:
         warnings.warn(
             f"width estimate {best!r} sits at the upper search bound {search_hi!r}",
@@ -138,18 +219,24 @@ def crlb_experiment(
 ) -> EstimationResult:
     """Replicated sample-and-estimate cycles against the information bound.
 
-    Each replica draws its own stream from (seed, replica index).  The
-    summary ratio is M * Var * F with F the position-measurement Fisher
-    information at the true width; values near 1 mean the estimator
-    saturates the bound.
+    Each replica draws its own stream from (seed, replica index), through
+    one inverse-CDF table built for the whole experiment, so replica r holds
+    exactly the outcomes of ``sample_positions`` at its child seed.  Each
+    replica is estimated by ``mle_estimate`` on [a/2, 2a].  The summary
+    ratio is M * Var * F with F the position-measurement Fisher information
+    at the true width; values near 1 mean the estimator saturates the bound.
     """
     if replicas < 2:
         raise ValueError(f"need at least two replicas for a variance, got {replicas}")
+    if m_samples < 1:
+        raise ValueError(f"need at least one sample, got {m_samples}")
+    _check_seed(seed)
     a = config.width
+    table = _cdf_table(state, config)
     estimates = []
     for r in range(replicas):
         child = int(np.random.SeedSequence([seed, r]).generate_state(1, np.uint64)[0])
-        batch = sample_positions(state, config, m_samples, child)
+        batch = _draw(table, state, config, m_samples, child)
         estimates.append(mle_estimate(batch, 0.5 * a, 2.0 * a))
     arr = np.array(estimates)
     variance = float(np.var(arr, ddof=1))

@@ -49,7 +49,8 @@ from wellprobe.entangled import (
     qsnr_w3,
 )
 from wellprobe.inference import crlb_experiment
-from wellprobe.quadrature import quadrature, quadrature_2d
+from oracles import quadrature_2d
+from wellprobe.quadrature import quadrature
 
 WIDTHS = (0.5, 1.0, 2.3)
 

@@ -49,7 +49,7 @@ GOLDEN_ENTANGLED = (
 
 GOLDEN_MONTECARLO = (
     "state,a,M,replicas,variance,crlb_ratio\n"
-    "poly:3,1,200,30,0.000301923157472,1.78409138502\n"
+    "poly:3,1,200,30,0.000301923140583,1.78409128522\n"
 )
 
 
@@ -262,6 +262,13 @@ def test_zero_nmax_is_a_usage_error(capsys):
         main(["energy", "--nmax", "0"])
     assert info.value.code == 2
     assert "--nmax" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["montecarlo", "--M", "10", "--replicas", "2", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["static", "--state", "eigen:1", "--a", ","], ["time", "--t", ""]])

@@ -18,7 +18,8 @@ from wellprobe.entangled import (
     qsnr_w3,
 )
 from wellprobe.metrology import qsnr_eigen, qsnr_polynomial
-from wellprobe.quadrature import quadrature, quadrature_2d
+from oracles import quadrature_2d
+from wellprobe.quadrature import quadrature
 from wellprobe.states import Eigen, Polynomial, d_wavefunction, wavefunction
 from wellprobe.well import WellConfig, d_eigen_wavefunction, eigen_wavefunction
 

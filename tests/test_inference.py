@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from wellprobe import inference
 from wellprobe.inference import (
     SampleBatch,
     crlb_experiment,
@@ -13,7 +15,7 @@ from wellprobe.inference import (
     sample_positions,
 )
 from wellprobe.quadrature import quadrature
-from wellprobe.states import Eigen, Polynomial, wavefunction
+from wellprobe.states import Eigen, Parabolic, Polynomial, Superposition, wavefunction
 from wellprobe.well import WellConfig
 
 CFG = WellConfig(width=1.0, truncation=50)
@@ -76,7 +78,7 @@ def test_mle_consistent_and_deterministic():
     batch = sample_positions(Polynomial(1), CFG, 10_000, seed=3)
     estimate = mle_estimate(batch, 0.5, 2.0)
     assert 0.97 < estimate < 1.03
-    assert estimate == pytest.approx(0.9983361582733905, rel=1e-9)
+    assert estimate == pytest.approx(0.9983361602926778, rel=1e-9)
     assert mle_estimate(batch, 0.5, 2.0) == estimate
 
 
@@ -104,8 +106,8 @@ def test_mle_warns_at_the_upper_bound():
 def test_experiment_frozen_summary():
     result = crlb_experiment(Polynomial(3), CFG, 200, 30, seed=0)
     assert len(result.estimates) == 30
-    assert result.variance == pytest.approx(0.000301923157472, rel=1e-9)
-    assert result.crlb_ratio == pytest.approx(1.78409138502, rel=1e-9)
+    assert result.variance == pytest.approx(0.000301923140583, rel=1e-9)
+    assert result.crlb_ratio == pytest.approx(1.78409128522, rel=1e-9)
     assert 0.9 < result.mean < 1.1
 
 
@@ -119,3 +121,127 @@ def test_experiment_reproducible():
 def test_experiment_needs_replicas():
     with pytest.raises(ValueError):
         crlb_experiment(Polynomial(3), CFG, 100, 1, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_positions(Eigen(1), CFG, 10, seed=-1),
+    lambda: crlb_experiment(Polynomial(3), CFG, 10, 2, seed=-1),
+], ids=["sample_positions", "crlb_experiment"])
+def test_negative_seed_is_rejected_by_name(call):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        call()
+
+
+def test_experiment_replicas_equal_the_documented_sample_streams():
+    result = crlb_experiment(Polynomial(3), CFG, 300, 4, seed=9)
+    for r, estimate in enumerate(result.estimates):
+        child = int(np.random.SeedSequence([9, r]).generate_state(1, np.uint64)[0])
+        assert mle_estimate(sample_positions(Polynomial(3), CFG, 300, child), 0.5, 2.0) == estimate
+
+
+# Unit-width profile g and scaling term s = g/2 + u g', written out in mpmath
+# from the family definitions, independent of wellprobe.states.
+def _oracle_poly(p):
+    def pair(u):
+        height = mpmath.sqrt(mpmath.mpf(1 + 6 * p + 8 * p * p) / (8 * p * p))
+        w = 2 * u - 1
+        g = height * (1 - w ** (2 * p))
+        return g, g / 2 + u * height * (-4 * p) * w ** (2 * p - 1)
+    return pair
+
+
+def _oracle_levels(levels):
+    def pair(u):
+        g = sum(c * mpmath.sqrt(2) * mpmath.sin(n * mpmath.pi * u) for n, c in levels)
+        dg = sum(c * mpmath.sqrt(2) * n * mpmath.pi * mpmath.cos(n * mpmath.pi * u) for n, c in levels)
+        return g, g / 2 + u * dg
+    return pair
+
+
+def _oracle_parabolic(u):
+    g = mpmath.sqrt(30) * u * (1 - u)
+    return g, g / 2 + u * mpmath.sqrt(30) * (1 - 2 * u)
+
+
+ORACLE_STATES = {
+    "poly:1": (Polynomial(1), _oracle_poly(1)),
+    "poly:3": (Polynomial(3), _oracle_poly(3)),
+    "poly:6": (Polynomial(6), _oracle_poly(6)),
+    "parabolic": (Parabolic(), _oracle_parabolic),
+    "eigen:1": (Eigen(1), _oracle_levels([(1, 1)])),
+    "eigen:2": (Eigen(2), _oracle_levels([(2, 1)])),
+    "super:1:2:0.3": (Superposition(1, 2, 0.3), _oracle_levels([(1, mpmath.cos(0.3)), (2, mpmath.sin(0.3))])),
+}
+
+
+@pytest.mark.parametrize("width", [0.37, 7.3])
+@pytest.mark.parametrize("state, pair", ORACLE_STATES.values(), ids=ORACLE_STATES.keys())
+def test_mle_is_the_score_root_to_high_precision(state, pair, width):
+    """The estimate is a stationary point of the likelihood: sum s(u_i) / g(u_i) = 0."""
+    batch = sample_positions(state, WellConfig(width, 50), 200, seed=17)
+    estimate = mle_estimate(batch, 0.5 * width, 2.0 * width)
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(x)) for x in batch.outcomes]
+
+        def score_sum(a):
+            total = mpmath.mpf(0)
+            for x in xs:
+                g, s = pair(x / a)
+                total += s / g
+            return total
+
+        lo, hi = mpmath.mpf(estimate) * (1 - mpmath.mpf(1e-9)), mpmath.mpf(estimate) * (1 + mpmath.mpf(1e-9))
+        f_lo, f_hi = score_sum(lo), score_sum(hi)
+        assert f_lo < 0 < f_hi  # the score, -(2/a) sum s / g, falls through zero in between
+        for _ in range(12):  # secant steps from the bracket ends
+            if f_hi == f_lo:
+                break
+            lo, f_lo, hi = hi, f_hi, hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            f_hi = score_sum(hi)
+        assert abs(hi - lo) < mpmath.mpf(10) ** -30 * hi
+        assert abs(estimate / hi - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("state", [Polynomial(3), Eigen(2)], ids=["poly:3", "eigen:2"])
+def test_mle_finds_the_maximum_next_to_the_largest_outcome(state):
+    """The coarse bracket starts at the largest outcome, where the score is near-infinite."""
+    batch = sample_positions(state, CFG, 2000, seed=29)
+    estimate = mle_estimate(batch, 0.5, 2.0)
+    assert estimate - batch.outcomes.max() < 0.01
+    here = log_likelihood(batch, estimate)
+    assert log_likelihood(batch, estimate - 1e-6) < here > log_likelihood(batch, estimate + 1e-6)
+
+
+def test_mle_falls_back_to_golden_section_when_the_score_keeps_its_sign():
+    batch = sample_positions(Eigen(1), CFG, 2000, seed=5)
+    top = float(batch.outcomes.max())
+    best = mle_estimate(batch, 0.5, 2.0)
+    assert best > top
+    cap = 0.5 * (top + best)  # the likelihood still rises at the upper bound
+    with pytest.warns(UserWarning, match="upper search bound"):
+        clipped = mle_estimate(batch, 0.5, cap)
+    assert cap - 10 * 1e-8 * cap <= clipped <= cap
+
+
+def _count_profile_evaluations(monkeypatch):
+    sizes = []
+    for name in ("wavefunction", "d_wavefunction"):
+        inner = getattr(inference, name)
+
+        def counted(state, config, x, inner=inner):
+            sizes.append(np.size(x))
+            return inner(state, config, x)
+
+        monkeypatch.setattr(inference, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("state", [Polynomial(3), Eigen(2)], ids=["poly:3", "eigen:2"])
+def test_experiment_work_counts(state, monkeypatch):
+    """At most 30 profile evaluations per estimate and one CDF table per experiment."""
+    sizes = _count_profile_evaluations(monkeypatch)
+    m, replicas = 2000, 15
+    crlb_experiment(state, CFG, m, replicas, seed=0)
+    assert sizes.count(4096) == 1
+    assert sizes.count(m) <= 30 * replicas
+    assert len(sizes) == sizes.count(m) + 1

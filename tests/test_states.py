@@ -17,6 +17,7 @@ from wellprobe.states import (
     Polynomial,
     Superposition,
     TruncationWarning,
+    _poly_profile,
     amplitudes,
     d_wavefunction,
     mean_energy,
@@ -259,6 +260,20 @@ def test_polynomial_even_levels_are_exactly_zero(p):
 @pytest.mark.parametrize("p", [1, 3, 15])
 def test_polynomial_small_basis_is_a_prefix_of_the_large_one(p):
     assert _bump_amplitudes(p, 50).tobytes() == _bump_amplitudes(p, 1600)[:50].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 15, 40])
+def test_bump_kernel_matches_the_float_power_forms(p):
+    """Profile and scaling term within 4 ulp of the ``**`` forms, at the scale of their terms."""
+    u = np.linspace(0.0, 1.0, 100001)
+    assert u[0] == 0.0 and u[50000] == 0.5 and u[-1] == 1.0
+    height = math.sqrt((1 + 6 * p + 8 * p * p) / (8 * p * p))
+    w = 2.0 * u - 1.0
+    g = height * (1.0 - w ** (2 * p))
+    u_dg = u * (height * (-4.0 * p) * w ** (2 * p - 1))
+    assert np.all(np.abs(_poly_profile(p, u) - g) <= 4 * np.spacing(height))
+    s_scale = 0.5 * height + np.abs(u_dg)
+    assert np.all(np.abs(Polynomial(p)._s(u) - (0.5 * g + u_dg)) <= 4 * np.spacing(s_scale))
 
 
 @pytest.mark.parametrize("order", [2.5, 3.0, True, "3", None])
