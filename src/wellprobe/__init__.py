@@ -13,7 +13,6 @@ from .dynamics import (
     evolved_amplitudes,
     qfi_parabolic_time,
     qfi_time,
-    short_time_coefficient,
     truncation_residual,
 )
 from .entangled import (
@@ -125,7 +124,6 @@ __all__ = [
     "quadrature",
     "report",
     "sample_positions",
-    "short_time_coefficient",
     "sld_matrix",
     "truncation_residual",
     "wavefunction",

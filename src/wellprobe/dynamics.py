@@ -8,10 +8,10 @@ quantity for cross-checking:
 
 * :func:`qfi_time` assembles the general truncated-basis expression for
   any real a-independent preparation.  It never forms the N x N overlap
-  tables: after a diagonal sign scaling both are Toeplitz plus Hankel, so
-  their products with the amplitude vector are FFT convolutions, O(N log N)
-  in time and O(N) in memory.  The secular t^2 term is written about the
-  mean energy derivative, so no large terms cancel.
+  tables: it takes their products with the amplitude vector from
+  :func:`wellprobe.well._overlap_products`, O(N log N) in time and O(N) in
+  memory.  The secular t^2 term is written about the mean energy
+  derivative, so no large terms cancel.
 * :func:`qfi_parabolic_time` evaluates the explicit odd-index double series
   of the parabolic profile, with the single sums carried out in closed form
   so that only the genuinely two-dimensional sums are truncated.
@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .states import ProbeState, TruncationWarning, amplitudes
-from .well import WellConfig
+from .well import WellConfig, _overlap_products
 
 __all__ = [
     "EvolvedState",
@@ -38,7 +37,6 @@ __all__ = [
     "qfi_time",
     "qfi_parabolic_time",
     "truncation_residual",
-    "short_time_coefficient",
 ]
 
 
@@ -65,48 +63,6 @@ def _phased(f: np.ndarray, cfg: WellConfig, t: float) -> np.ndarray:
 def evolved_amplitudes(ev: EvolvedState) -> np.ndarray:
     """Complex eigenbasis amplitudes f_n exp(-i E_n t)."""
     return _phased(amplitudes(ev.base, ev.cfg).coefficients, ev.cfg, ev.time)
-
-
-@lru_cache(maxsize=8)
-def _kernel_spectra(size: int) -> np.ndarray:
-    """Spectra of the kernels 1/k and 1/k^2 (0 at k = 0) on a circle of 3N points.
-
-    Slots 0..2N hold k = 0..2N and the rest k = 1-N..-1, the differences
-    m - n of outputs m in [1, N] and inputs n in [-N, N], so the circular
-    convolution does not wrap.
-    """
-    length = 3 * size
-    k = np.arange(length, dtype=float)
-    k[2 * size + 1:] -= length
-    k[0] = np.inf  # so both kernels are 0 there
-    return np.fft.fft(np.stack([1.0 / k, 1.0 / (k * k)]))
-
-
-def _overlap_products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B c and C c for the unit-width overlap matrices, without forming them.
-
-    Off the diagonal, with d_n = (-1)^n c_n,
-        (B c)_m = (-1)^m m sum_n [1/(m-n) - 1/(m+n)] d_n,
-        (C c)_m = 2 (-1)^m m sum_n [1/(m-n)^2 + 1/(m+n)^2] n d_n.
-    Extending d oddly to n in [-N, -1] turns each Toeplitz-plus-Hankel sum
-    into one convolution with 1/k or 1/k^2 over n in [-N, N].  That
-    convolution also picks up the n = m Hankel terms, -1/(2m) and +1/(4m^2),
-    so the diagonals are set by adding c/2 to B c and (m^2 pi^2/3 - 1/4) c
-    to C c, which gives C_mm = m^2 pi^2/3 + 1/4.
-    """
-    size = c.size
-    m = np.arange(1, size + 1, dtype=float)
-    sign = np.where(m % 2, -1.0, 1.0)
-    d = sign * c
-    ext = np.zeros((2, 3 * size), dtype=complex)
-    ext[0, 1:size + 1] = d
-    ext[0, 2 * size:] = -d[::-1]
-    ext[1, 1:size + 1] = m * d
-    ext[1, 2 * size:] = (m * d)[::-1]
-    conv = np.fft.ifft(np.fft.fft(ext) * _kernel_spectra(size))[:, 1:size + 1]
-    bc = sign * m * conv[0] + 0.5 * c
-    cc = 2.0 * sign * m * conv[1] + (m * m * np.pi**2 / 3.0 - 0.25) * c
-    return bc, cc
 
 
 def _assemble(f: np.ndarray, c: np.ndarray, tau: float) -> float:
@@ -225,34 +181,3 @@ def _relative_change(coarse: float, fine: float) -> float:
     """|fine - coarse| / |fine|, the residual that :func:`truncation_residual` reports."""
     return abs(fine - coarse) / abs(fine)
 
-
-def short_time_coefficient(cfg: WellConfig) -> float:
-    """Quadratic-model fit C of the early-time signal-to-noise ratio.
-
-    Fits Q(a,t) - Q(a,0) = C t^2 / a^4 over t in [1e-3, 1e-2] by least
-    squares through the origin.  The window is a crossover, not a quadratic
-    regime: the exact short-time growth goes like t^(3/2) (the width
-    derivative of the initial state leaves the Hamiltonian's domain), and
-    the log-log slope on the window is 1.021 at basis size 50 and 1.036
-    converged.  The model therefore misfits, which the diagnostic warning
-    reports when it explains the window worse than 1% pointwise, and C is
-    not width-free: the window is fixed in t rather than t/a^2, so C(a=2)
-    is about 4 C(a=1).
-    """
-    a = cfg.width
-    ts = np.linspace(1e-3, 1e-2, 19)
-    q0 = a**2 * qfi_parabolic_time(cfg, 0.0)
-    dq = np.array([a**2 * qfi_parabolic_time(cfg, t) - q0 for t in ts])
-    basis = ts**2 / a**4
-    coeff = float(dq @ basis / (basis @ basis))
-    fit = coeff * basis
-    rel = np.abs(fit - dq) / np.abs(dq)
-    worst = float(rel.max())
-    if worst > 0.01:
-        warnings.warn(
-            f"quadratic short-time model misfits by up to {worst:.2%} on "
-            "the fit window",
-            UserWarning,
-            stacklevel=2,
-        )
-    return coeff

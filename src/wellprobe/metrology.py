@@ -20,7 +20,7 @@ import numpy as np
 
 from .quadrature import quadrature
 from .states import Custom, ProbeState, TruncationWarning, amplitudes, d_wavefunction, wavefunction
-from .well import OverlapTable, WellConfig, build_overlap_table
+from .well import WellConfig, _overlap_products
 
 __all__ = [
     "MetrologyReport",
@@ -51,25 +51,23 @@ def _over_width_squared(unit_value: float, config: WellConfig) -> float:
     return value
 
 
-def qfi_static(state: ProbeState, config: WellConfig, table: OverlapTable | None = None) -> float:
+def qfi_static(state: ProbeState, config: WellConfig) -> float:
     """QFI of a real static probe state with respect to the width.
 
     Every family is f(x; a) = g(x/a) / sqrt(a), so the QFI is its unit-width
     value over a^2: 4 [int s^2 - (int g s)^2] / a^2 over [0, 1], with
-    s = g/2 + u g'.  Custom states go through the truncated eigenbasis
-    instead, using the overlap table (built at unit width unless given),
-    since their profile is only known as a coefficient vector.
+    s = g/2 + u g'.  Custom states are known only as a coefficient vector f,
+    so their unit-width value is 4 [f.Cf - (f.Bf)^2] with the products of
+    the unit-width overlap operators from :func:`_overlap_products`, exact
+    for the finite level sum.
     """
     if isinstance(state, Custom):
         f = amplitudes(state, config).coefficients
-        if table is None:
-            table = build_overlap_table(replace(config, width=1.0))
-        gram = f @ table.dpsi_dpsi @ f
-        # for real f the overlap with the derivative is exactly zero by
-        # antisymmetry of the psi_dpsi matrix; keep the term anyway so the
-        # expression stays the honest pure-state formula
-        mixed = f @ table.psi_dpsi @ f
-        return _over_width_squared(4.0 * (gram - mixed**2) * table.width**2, config)
+        bf, cf = _overlap_products(f)
+        # f.Bf vanishes for real f (B is antisymmetric); keep the term anyway
+        # so the expression stays the honest pure-state formula
+        mixed = float(f @ bf.real)
+        return _over_width_squared(4.0 * (float(f @ cf.real) - mixed**2), config)
     unit = replace(config, width=1.0)
     norm_sq = quadrature(lambda u: d_wavefunction(state, unit, u) ** 2, 0.0, 1.0, tol=1e-10)
     mixed = quadrature(lambda u: wavefunction(state, unit, u) * d_wavefunction(state, unit, u),
@@ -169,19 +167,17 @@ def fi_energy(state: ProbeState, config: WellConfig) -> float:
     return 0.0
 
 
-def sld_matrix(state: ProbeState, config: WellConfig, table: OverlapTable | None = None) -> np.ndarray:
+def sld_matrix(state: ProbeState, config: WellConfig) -> np.ndarray:
     """Optimal-measurement operator in the truncated eigenbasis.
 
-    For a pure real state the operator is L = 2(|f><df| + |df><f|), built
-    here from the coefficient vector and the derivative overlaps.  The
-    derivative components decay only like 1/index, so a warning is issued
-    when the estimated tail of the derivative vector is not negligible.
+    For a pure real state the operator is L = 2(|f><df| + |df><f|), with
+    derivative components d = Bf / a from the unit-width overlap products
+    (:func:`_overlap_products`).  The derivative components decay only like
+    1/index, so a warning is issued when the estimated tail of the
+    derivative vector is not negligible.
     """
-    vec = amplitudes(state, config)
-    f = vec.coefficients
-    if table is None:
-        table = build_overlap_table(config)
-    d = table.psi_dpsi @ f
+    f = amplitudes(state, config).coefficients
+    d = _overlap_products(f)[0].real / config.width
     size = config.truncation
     # the last component scales like 1/N for our states; N * d_N^2
     # estimates the weight sitting beyond the truncation

@@ -8,8 +8,9 @@ Four built-in families cover the use cases downstream:
 * ``Polynomial``: the smooth bump  N (1 - (2x/a - 1)^(2p)) / sqrt(a), which
   interpolates from the parabola (p = 1) towards a flat top with sharp
   shoulders as p grows.
-* ``Parabolic``: sqrt(30/a^5) x (a - x), kept as its own name because it is
-  the state whose time-evolved information has a fully explicit series.
+* ``Parabolic``: sqrt(30/a^5) x (a - x), the order-1 bump
+  (sqrt(30) = 4 h for the p = 1 height h = sqrt(15/8)), kept as its own
+  name because its time-evolved information has a fully explicit series.
 
 ``Custom`` takes an explicit (real) coefficient vector in the eigenbasis.
 
@@ -222,27 +223,16 @@ class Polynomial:
         return (1.0 + 6.0 * self.p + 8.0 * self.p * self.p) / (4.0 * self.p - 1.0)
 
 
-@lru_cache(maxsize=None)
-def _parabolic_coefficients(truncation: int) -> tuple:
-    """Closed-form expansion of x(a-x): 8 sqrt(15) / (n pi)^3 for odd n."""
-    return tuple(0.0 if n % 2 == 0 else 8.0 * math.sqrt(15.0) / (n * math.pi) ** 3
-                 for n in range(1, truncation + 1))
-
-
 @dataclass(frozen=True)
-class Parabolic:
-    def _g(self, u, norm=1.0):
-        return (math.sqrt(30.0) / norm) * u * (1.0 - u)
+class Parabolic(Polynomial):
+    """The order-1 bump sqrt(30) u (1 - u), under the name of its explicit evolved series."""
 
-    def _s(self, u, norm=1.0):
-        # g/2 + u g' = sqrt(30) u (3/2 - 5u/2)
-        return (math.sqrt(30.0) / norm) * u * (1.5 - 2.5 * u)
+    p: int = 1
 
-    def _amplitudes(self, size):
-        return np.array(_parabolic_coefficients(size))
-
-    def _energy(self):
-        return 5.0
+    def __post_init__(self):
+        super().__post_init__()
+        if self.p != 1:
+            raise ValueError(f"the parabola is the order-1 bump, got p={self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -337,7 +327,7 @@ def mean_energy(state: ProbeState, config: WellConfig) -> float:
     """Expectation of the Hamiltonian in the probe state, E_1 / a^2.
 
     The unit-width value E_1 is sum_n c_n^2 (n pi)^2 / 2 for level sums,
-    (1 + 6p + 8p^2) / (4p - 1) for the bump of order p and 5 for the parabola.
+    (1 + 6p + 8p^2) / (4p - 1) for the bump of order p (5 for the parabola).
     """
     return _family(state)._energy() / config.width**2
 

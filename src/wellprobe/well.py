@@ -3,15 +3,19 @@
 Everything is computed in natural units (hbar = mass = 1) for a box on
 ``[0, a]``.  The estimation parameter throughout the package is the width
 ``a`` itself, so alongside each eigenfunction and energy we expose its
-derivative with respect to the width, plus the two families of overlap
-integrals between basis states and differentiated basis states that every
-information quantity downstream is assembled from.
+derivative with respect to the width, plus the two overlap operators
+B = <psi_m|d_a psi_n> and C = <d_a psi_m|d_a psi_n> that every information
+quantity downstream is assembled from: their closed-form entries, the dense
+tables, and their products with an amplitude vector, which
+:func:`_overlap_products` applies as FFT convolutions in O(N log N) without
+forming the tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,3 +157,45 @@ def build_overlap_table(config: WellConfig) -> OverlapTable:
     np.fill_diagonal(c, (idx**2 * np.pi**2 / 3.0 + 0.25) / a**2)
 
     return OverlapTable(width=a, psi_dpsi=b, dpsi_dpsi=c)
+
+
+@lru_cache(maxsize=8)
+def _kernel_spectra(size: int) -> np.ndarray:
+    """Spectra of the kernels 1/k and 1/k^2 (0 at k = 0) on a circle of 3N points.
+
+    Slots 0..2N hold k = 0..2N and the rest k = 1-N..-1, the differences
+    m - n of outputs m in [1, N] and inputs n in [-N, N], so the circular
+    convolution does not wrap.
+    """
+    length = 3 * size
+    k = np.arange(length, dtype=float)
+    k[2 * size + 1:] -= length
+    k[0] = np.inf  # so both kernels are 0 there
+    return np.fft.fft(np.stack([1.0 / k, 1.0 / (k * k)]))
+
+
+def _overlap_products(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B c and C c for the unit-width overlap matrices, without forming them.
+
+    Off the diagonal, with d_n = (-1)^n c_n,
+        (B c)_m = (-1)^m m sum_n [1/(m-n) - 1/(m+n)] d_n,
+        (C c)_m = 2 (-1)^m m sum_n [1/(m-n)^2 + 1/(m+n)^2] n d_n.
+    Extending d oddly to n in [-N, -1] turns each Toeplitz-plus-Hankel sum
+    into one convolution with 1/k or 1/k^2 over n in [-N, N].  That
+    convolution also picks up the n = m Hankel terms, -1/(2m) and +1/(4m^2),
+    so the diagonals are set by adding c/2 to B c and (m^2 pi^2/3 - 1/4) c
+    to C c, which gives C_mm = m^2 pi^2/3 + 1/4.
+    """
+    size = c.size
+    m = np.arange(1, size + 1, dtype=float)
+    sign = np.where(m % 2, -1.0, 1.0)
+    d = sign * c
+    ext = np.zeros((2, 3 * size), dtype=complex)
+    ext[0, 1:size + 1] = d
+    ext[0, 2 * size:] = -d[::-1]
+    ext[1, 1:size + 1] = m * d
+    ext[1, 2 * size:] = (m * d)[::-1]
+    conv = np.fft.ifft(np.fft.fft(ext) * _kernel_spectra(size))[:, 1:size + 1]
+    bc = sign * m * conv[0] + 0.5 * c
+    cc = 2.0 * sign * m * conv[1] + (m * m * np.pi**2 / 3.0 - 0.25) * c
+    return bc, cc

@@ -20,7 +20,6 @@ from wellprobe.dynamics import (
     evolved_amplitudes,
     qfi_parabolic_time,
     qfi_time,
-    short_time_coefficient,
     truncation_residual,
 )
 from wellprobe.metrology import qfi_static
@@ -323,18 +322,3 @@ def test_truncation_residual_properties():
     fine = truncation_residual(CFG, 0.5, 50, 100)
     assert coarse > fine > 0.0
     assert fine == pytest.approx(2.834831e-4, rel=1e-4)
-
-
-def test_short_time_coefficient_width_dependence():
-    """The fixed-window quadratic fit is a diagnostic, not a clean limit.
-
-    On t in [1e-3, 1e-2] the growth is dephasing-dominated (nearly linear
-    in t), so the quadratic model misfits and the fitted rate inherits the
-    t/a^2 scaling instead of being width-free.  Both symptoms are asserted.
-    """
-    with pytest.warns(UserWarning, match="misfits"):
-        c1 = short_time_coefficient(WellConfig(width=1.0, truncation=50))
-    with pytest.warns(UserWarning, match="misfits"):
-        c2 = short_time_coefficient(WellConfig(width=2.0, truncation=50))
-    assert c1 == pytest.approx(306.888350, rel=1e-4)
-    assert 3.8 < c2 / c1 < 4.1

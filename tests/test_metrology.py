@@ -1,6 +1,7 @@
 """Static information quantities: QFI, measurement FI, QSNR, optimal operator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,59 @@ def test_sld_second_moment_converges_to_qfi(state, band):
         errs[size] = abs(second - qfi_static(state, cfg)) / qfi_static(state, cfg)
     assert band[0] < errs[50] < band[1]
     assert 0.4 < errs[100] / errs[50] < 0.6
+
+
+_HIGH_CUSTOM = np.random.default_rng(1600).normal(size=1600) / np.arange(1, 1601)
+_HIGH_CUSTOM /= math.sqrt(math.fsum(_HIGH_CUSTOM**2))
+
+
+@pytest.mark.parametrize("a", [0.37, 1.0, 7.3])
+def test_custom_qfi_matches_dense_tables_at_level_1600(a):
+    cfg = WellConfig(width=a, truncation=1600)
+    state = Custom(tuple(_HIGH_CUSTOM))
+    table = build_overlap_table(cfg)
+    f = _HIGH_CUSTOM
+    dense = 4.0 * (f @ table.dpsi_dpsi @ f - (f @ table.psi_dpsi @ f) ** 2)
+    assert qfi_static(state, cfg) == pytest.approx(dense, rel=1e-13)
+
+
+def test_custom_qfi_allocates_no_dense_table():
+    cfg = WellConfig(width=1.0, truncation=1600)
+    state = Custom(tuple(_HIGH_CUSTOM))
+    qfi_static(state, cfg)  # warm the kernel cache
+    tracemalloc.start()
+    try:
+        qfi_static(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1600 x 1600 float table alone is 20 MB
+    assert peak <= 4_000_000
+
+
+_SLD_CUSTOM = np.random.default_rng(30).normal(size=30)
+_SLD_CUSTOM /= math.sqrt(math.fsum(_SLD_CUSTOM**2))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [Eigen(1), Superposition(1, 3, 0.3), Polynomial(3), Parabolic(), Custom(tuple(_SLD_CUSTOM))],
+    ids=["eigen1", "super13", "poly3", "parabolic", "custom30"],
+)
+@pytest.mark.parametrize("size", [50, 400])
+@pytest.mark.parametrize("a", [0.37, 7.3])
+def test_sld_matches_dense_tables(state, size, a):
+    cfg = WellConfig(width=a, truncation=size)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        L = sld_matrix(state, cfg)
+        f = amplitudes(state, cfg).coefficients
+    d = build_overlap_table(cfg).psi_dpsi @ f
+    dense = 2.0 * (np.outer(f, d) + np.outer(d, f))
+    assert np.max(np.abs(L - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # the tail warning fires exactly where the dense derivative vector says it should
+    warned = any("derivative-vector tail" in str(w.message) for w in record)
+    assert warned == bool(size * d[-1] ** 2 > 1e-6 * (d @ d))
 
 
 def test_report_bundles_consistent_numbers():

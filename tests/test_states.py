@@ -245,9 +245,20 @@ def test_polynomial_amplitudes_keep_parseval_in_a_large_basis(p):
 
 
 def test_polynomial_one_has_the_parabolic_amplitudes():
+    # closed form of sqrt(30) u (1 - u): 8 sqrt(15) / (n pi)^3 on odd n, 0 on even n
+    n = np.arange(1, 1601)
+    parabola = np.where(n % 2 == 1, 8.0 * math.sqrt(15.0) / (n * math.pi) ** 3, 0.0)
     bump = _bump_amplitudes(1, 1600)
-    parabola = amplitudes(Parabolic(), WellConfig(width=1.0, truncation=1600)).coefficients
     assert np.all(np.abs(bump - parabola) <= 1e-14 * np.abs(parabola))
+    assert np.array_equal(amplitudes(Parabolic(), WellConfig(width=1.0, truncation=1600)).coefficients, bump)
+
+
+def test_parabolic_is_the_order_one_bump_only():
+    assert isinstance(Parabolic(), Polynomial) and Parabolic().p == 1
+    assert Parabolic() != Polynomial(1)  # its own name, for the explicit evolved series
+    for p in (2, 0, True, 1.0):
+        with pytest.raises(ValueError):
+            Parabolic(p)
 
 
 @pytest.mark.parametrize("p", [1, 4, 15])
