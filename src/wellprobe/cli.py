@@ -58,9 +58,7 @@ def parse_state(text: str) -> ProbeState:
             except OSError as exc:
                 raise UsageError(f"cannot read coefficient file {path!r}: {exc}") from exc
             return Custom(tuple(coeff))
-    except (ValueError, UsageError) as exc:
-        if isinstance(exc, UsageError):
-            raise
+    except ValueError as exc:
         raise UsageError(f"bad state descriptor {text!r}: {exc}") from exc
     raise UsageError(f"bad state descriptor {text!r}")
 

@@ -12,20 +12,20 @@ bonus survives only for a single transposition of level indices.
 Bump branches overlap, so :func:`qsnr_two_polynomial` is the paper's
 orthogonal-branch formula and not the information of any normalized state.
 :func:`qsnr_symmetrized_pair` gives the exact value of the normalized pair
-u (x) v + v (x) u from one-dimensional overlaps.  For bump pairs the exact
-gain over two independent probes is below 1 (0.98550 at orders 2 and 3).
+u (x) v + v (x) u for any two level sums or any two bumps, from the
+unit-width overlaps that :mod:`wellprobe.states` computes for every probe
+state.  For bump pairs the exact gain over two independent probes is below
+1 (0.98550 at orders 2 and 3).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrology import qsnr_eigen, qsnr_polynomial
-from .states import Eigen, Polynomial, ProbeState, _poly_height
-from .well import WellConfig, overlap_dpsi_dpsi, overlap_psi_dpsi
+from .states import ProbeState, _unit_overlaps
 
 __all__ = [
     "GhzSpec",
@@ -80,50 +80,6 @@ def qsnr_two_polynomial(p1: int, p2: int) -> float:
     return qsnr_polynomial(p1) + qsnr_polynomial(p2) + bonus
 
 
-def _bump_terms(p: int) -> tuple[dict, dict]:
-    """Unit-width bump g and its scaling term g/2 + u g'(u), as sparse
-    polynomials {power: coefficient} in w = 2u - 1.
-
-    With g = h (1 - w^(2p)) and u d/du = (1 + w) d/dw, the second is
-    h (1/2 - 2p w^(2p-1) - (2p + 1/2) w^(2p)).
-    """
-    h = _poly_height(p)
-    g = {0: h, 2 * p: -h}
-    scaled = {0: 0.5 * h, 2 * p - 1: -2.0 * p * h, 2 * p: -(2.0 * p + 0.5) * h}
-    return g, scaled
-
-
-def _unit_integral(f: dict, g: dict) -> float:
-    """Integral over u in [0, 1] of the product of two polynomials in w = 2u - 1.
-
-    Odd powers of w integrate to zero and w^(2k) to 1/(2k + 1).
-    """
-    return math.fsum(
-        c * d / (i + j + 1) for i, c in f.items() for j, d in g.items() if (i + j) % 2 == 0
-    )
-
-
-def _overlaps(u: ProbeState, v: ProbeState) -> tuple[float, float, float]:
-    """Unit-width overlaps <u|v>, <u|dv> and <du|dv>, d the width derivative.
-
-    Eigenstates use the closed overlap forms of :mod:`wellprobe.well`.  For
-    bumps the width derivative at a = 1 is -(g/2 + u g'), so every overlap
-    is a finite sum over powers of w.
-    """
-    if isinstance(u, Eigen) and isinstance(v, Eigen):
-        unit = WellConfig(width=1.0)
-        return (
-            float(u.n == v.n),
-            overlap_psi_dpsi(u.n, v.n, unit),
-            overlap_dpsi_dpsi(u.n, v.n, unit),
-        )
-    if isinstance(u, Polynomial) and isinstance(v, Polynomial):
-        gu, su = _bump_terms(u.p)
-        gv, sv = _bump_terms(v.p)
-        return _unit_integral(gu, gv), -_unit_integral(gu, sv), _unit_integral(su, sv)
-    raise TypeError(f"need two Eigen or two Polynomial states, got {u!r} and {v!r}")
-
-
 def qsnr_symmetrized_pair(u: ProbeState, v: ProbeState) -> float:
     """Exact signal-to-noise ratio of the normalized pair state u (x) v + v (x) u.
 
@@ -138,13 +94,15 @@ def qsnr_symmetrized_pair(u: ProbeState, v: ProbeState) -> float:
     where A = <u|dv>, B = <v|du> and D_xy = <dx|dy>.  For eigenstates s = 0
     and this is :func:`qsnr_two_eigen`; for bumps it is the exact value in
     place of the orthogonal-branch :func:`qsnr_two_polynomial`.  ``u`` and
-    ``v`` are two ``Eigen`` or two ``Polynomial`` states; equal states give
-    the product state, twice the single-probe value.
+    ``v`` are any two level sums (``Eigen``, ``Superposition``, ``Custom``)
+    or any two bumps (``Polynomial``, ``Parabolic``); a level sum paired
+    with a bump raises ``TypeError``.  Equal states give the product state,
+    twice the single-probe value.
     """
-    s, a_uv, d_uv = _overlaps(u, v)
-    b_vu = _overlaps(v, u)[1]
-    d_uu = _overlaps(u, u)[2]
-    d_vv = _overlaps(v, v)[2]
+    s, a_uv, d_uv = _unit_overlaps(u, v)
+    b_vu = _unit_overlaps(v, u)[1]
+    d_uu = _unit_overlaps(u, u)[2]
+    d_vv = _unit_overlaps(v, v)[2]
     norm = 1.0 + s * s
     drift = s * (a_uv + b_vu) / norm
     return 4.0 * ((d_uu + d_vv + 2.0 * s * d_uv + a_uv**2 + b_vu**2) / norm - drift * drift)

@@ -3,11 +3,12 @@
 The quantum Fisher information (QFI) of a pure real probe state f(x; a) with
 respect to the width a reduces to 4 times the squared norm of the width
 derivative, because the overlap of f with its own derivative vanishes for a
-normalized real state.  The position-measurement Fisher information equals
-the QFI for every real state, which is the optimality statement this module
-lets you check numerically.  The dimensionless figure of merit throughout is
-the signal-to-noise ratio Q = a^2 H, which is width-independent for all the
-scale-covariant families.
+normalized real state; it is built from the exact unit-width overlaps of
+:mod:`wellprobe.states`.  The position-measurement Fisher information,
+integrated by quadrature, equals the QFI for every real state, which is the
+optimality statement this module lets you check numerically.  The
+dimensionless figure of merit throughout is the signal-to-noise ratio
+Q = a^2 H, which is width-independent for all the scale-covariant families.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quadrature import quadrature
-from .states import Custom, ProbeState, TruncationWarning, amplitudes, d_wavefunction, wavefunction
-from .well import WellConfig, _overlap_products
+from .states import ProbeState, TruncationWarning, _unit_overlaps, amplitudes, d_wavefunction, wavefunction
+from .well import WellConfig, _overlap_products, overlap_dpsi_dpsi
 
 __all__ = [
     "MetrologyReport",
@@ -55,23 +56,14 @@ def qfi_static(state: ProbeState, config: WellConfig) -> float:
     """QFI of a real static probe state with respect to the width.
 
     Every family is f(x; a) = g(x/a) / sqrt(a), so the QFI is its unit-width
-    value over a^2: 4 [int s^2 - (int g s)^2] / a^2 over [0, 1], with
-    s = g/2 + u g'.  Custom states are known only as a coefficient vector f,
-    so their unit-width value is 4 [f.Cf - (f.Bf)^2] with the products of
-    the unit-width overlap operators from :func:`_overlap_products`, exact
-    for the finite level sum.
+    value 4 [<dg|dg> - <g|dg>^2] over a^2, from the exact overlaps of
+    :func:`wellprobe.states._unit_overlaps`.  It expands in no basis and
+    ignores ``config.truncation``: a ``Custom`` state longer than the
+    truncation gets its exact value, which :func:`amplitudes`,
+    :func:`report`, :func:`fi_energy` and :func:`sld_matrix` reject.
     """
-    if isinstance(state, Custom):
-        f = amplitudes(state, config).coefficients
-        bf, cf = _overlap_products(f)
-        # f.Bf vanishes for real f (B is antisymmetric); keep the term anyway
-        # so the expression stays the honest pure-state formula
-        mixed = float(f @ bf.real)
-        return _over_width_squared(4.0 * (float(f @ cf.real) - mixed**2), config)
-    unit = replace(config, width=1.0)
-    norm_sq = quadrature(lambda u: d_wavefunction(state, unit, u) ** 2, 0.0, 1.0, tol=1e-10)
-    mixed = quadrature(lambda u: wavefunction(state, unit, u) * d_wavefunction(state, unit, u),
-                       0.0, 1.0, tol=1e-10)
+    _, mixed, norm_sq = _unit_overlaps(state, state)
+    # <g|dg> is 0 for a normalized real state; kept so this is the pure-state formula
     return _over_width_squared(4.0 * (norm_sq - mixed**2), config)
 
 
@@ -85,20 +77,16 @@ def qsnr_eigen(n: int) -> float:
     return 1.0 + (4.0 / 3.0) * (n * math.pi) ** 2
 
 
-def qsnr_superposition(n: int, m: int, alpha: float, config: WellConfig | None = None) -> float:
+def qsnr_superposition(n: int, m: int, alpha: float) -> float:
     """Signal-to-noise ratio of cos(alpha)|n> + sin(alpha)|m>.
 
-    cos^2 Q_n + sin^2 Q_m + 4 a^2 sin(2 alpha) <dpsi_n|dpsi_m>; the a^2
-    cancels the 1/a^2 of the overlap, so the result is width-independent.
+    cos^2 Q_n + sin^2 Q_m + 4 sin(2 alpha) <dpsi_n|dpsi_m> with the
+    unit-width overlap; the ratio is width-independent.
     """
     if n == m:
         raise ValueError("superposition needs two distinct levels")
-    if config is None:
-        config = WellConfig(width=1.0)
-    from .well import overlap_dpsi_dpsi
-
     c, s = math.cos(alpha), math.sin(alpha)
-    cross = 4.0 * config.width**2 * math.sin(2.0 * alpha) * overlap_dpsi_dpsi(n, m, config)
+    cross = 4.0 * math.sin(2.0 * alpha) * overlap_dpsi_dpsi(n, m, WellConfig(width=1.0))
     return c * c * qsnr_eigen(n) + s * s * qsnr_eigen(m) + cross
 
 

@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .well import WellConfig
+from .well import WellConfig, _overlap_products, overlap_dpsi_dpsi, overlap_psi_dpsi
 
 __all__ = [
     "TruncationWarning",
@@ -267,6 +267,60 @@ def _family(state: ProbeState) -> ProbeState:
     if not isinstance(state, ProbeState):
         raise TypeError(f"unknown probe state {state!r}")
     return state
+
+
+def _bump_terms(p: int) -> tuple[dict, dict]:
+    """Unit-width bump g and its scaling term g/2 + u g'(u), as sparse
+    polynomials {power: coefficient} in w = 2u - 1.
+
+    With g = h (1 - w^(2p)) and u d/du = (1 + w) d/dw, the second is
+    h (1/2 - 2p w^(2p-1) - (2p + 1/2) w^(2p)).
+    """
+    h = _poly_height(p)
+    g = {0: h, 2 * p: -h}
+    scaled = {0: 0.5 * h, 2 * p - 1: -2.0 * p * h, 2 * p: -(2.0 * p + 0.5) * h}
+    return g, scaled
+
+
+def _unit_integral(f: dict, g: dict) -> float:
+    """Integral over u in [0, 1] of the product of two polynomials in w = 2u - 1.
+
+    Odd powers of w integrate to zero and w^(2k) to 1/(2k + 1).
+    """
+    return math.fsum(
+        c * d / (i + j + 1) for i, c in f.items() for j, d in g.items() if (i + j) % 2 == 0
+    )
+
+
+def _unit_overlaps(u: ProbeState, v: ProbeState) -> tuple[float, float, float]:
+    """Exact unit-width overlaps <u|v>, <u|dv> and <du|dv>, d the width derivative.
+
+    Level sums combine the eigenbasis overlaps of :mod:`wellprobe.well`:
+    with no more level pairs than levels up to the highest one, entry by
+    entry in closed form (a single high level costs nothing), otherwise by
+    the O(N log N) :func:`_overlap_products` on the coefficient vector.
+    For bumps the width derivative at a = 1 is -(g/2 + u g'), so every
+    overlap is a finite sum over powers of w = 2u - 1.
+    """
+    if isinstance(u, _Levels) and isinstance(v, _Levels):
+        pu, pv = u._pairs(), v._pairs()
+        top = max(n for n, _ in pu + pv)
+        if len(pu) * len(pv) <= top:
+            unit = WellConfig(width=1.0)
+            grid = [(c * d, m, n) for m, c in pu for n, d in pv]
+            return (
+                math.fsum(w for w, m, n in grid if m == n),
+                math.fsum(w * overlap_psi_dpsi(m, n, unit) for w, m, n in grid),
+                math.fsum(w * overlap_dpsi_dpsi(m, n, unit) for w, m, n in grid),
+            )
+        f, g = u._amplitudes(top), v._amplitudes(top)
+        bg, cg = _overlap_products(g)
+        return float(f @ g), float(f @ bg.real), float(f @ cg.real)
+    if isinstance(u, Polynomial) and isinstance(v, Polynomial):
+        gu, su = _bump_terms(u.p)
+        gv, sv = _bump_terms(v.p)
+        return _unit_integral(gu, gv), -_unit_integral(gu, sv), _unit_integral(su, sv)
+    raise TypeError(f"need two level sums or two bumps, got {u!r} and {v!r}")
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def test_criterion_04_width_independence():
     failures = []
     probes = {
         "eigen": lambda cfg: cfg.width ** 2 * qfi_static(Eigen(3), cfg),
-        "superposition": lambda cfg: qsnr_superposition(1, 3, 0.3, cfg),
+        "superposition": lambda cfg: cfg.width ** 2 * qfi_static(Superposition(1, 3, 0.3), cfg),
         "polynomial": lambda cfg: cfg.width ** 2 * qfi_static(Polynomial(2), cfg),
     }
     for label, probe in probes.items():

@@ -8,7 +8,6 @@ import pytest
 
 from wellprobe.entangled import (
     GhzSpec,
-    _overlaps,
     _pair_bonus,
     entanglement_gain_grid,
     qsnr_ghz,
@@ -19,8 +18,7 @@ from wellprobe.entangled import (
 )
 from wellprobe.metrology import qsnr_eigen, qsnr_polynomial
 from oracles import quadrature_2d
-from wellprobe.quadrature import quadrature
-from wellprobe.states import Eigen, Polynomial, d_wavefunction, wavefunction
+from wellprobe.states import Eigen, Polynomial, Superposition, d_wavefunction, wavefunction
 from wellprobe.well import WellConfig, d_eigen_wavefunction, eigen_wavefunction
 
 # closed-form pair values, frozen: Q_n + Q_m + 32 (n m)^2 / (n^2 - m^2)^2
@@ -100,18 +98,31 @@ def test_symmetrized_pair_is_the_eigen_closed_form():
                 assert exact == pytest.approx(qsnr_two_eigen(n, m), rel=1e-12)
 
 
-def test_bump_overlaps_match_quadrature():
-    """Closed bump overlaps <u|v>, <u|dv>, <du|dv> against unit-width quadrature."""
-    cfg = WellConfig(width=1.0, truncation=50)
-    for p, q in ((1, 1), (1, 2), (2, 3), (3, 7), (5, 4)):
-        u, v = Polynomial(p), Polynomial(q)
-        oracle = (
-            quadrature(lambda x: wavefunction(u, cfg, x) * wavefunction(v, cfg, x), 0.0, 1.0, tol=1e-12),
-            quadrature(lambda x: wavefunction(u, cfg, x) * d_wavefunction(v, cfg, x), 0.0, 1.0, tol=1e-12),
-            quadrature(lambda x: d_wavefunction(u, cfg, x) * d_wavefunction(v, cfg, x), 0.0, 1.0, tol=1e-12),
-        )
-        for closed, quad in zip(_overlaps(u, v), oracle):
-            assert closed == pytest.approx(quad, rel=1e-10, abs=1e-12)
+def test_symmetrized_level_sum_pair_matches_2d_quadrature():
+    """Exact pair value of a superposition and an eigenstate against the explicit state."""
+    u, v, a = Superposition(1, 2, 0.4), Eigen(3), 1.0
+    cfg = WellConfig(width=a, truncation=50)
+
+    def psi(x, y):
+        return (
+            wavefunction(u, cfg, x) * wavefunction(v, cfg, y)
+            + wavefunction(v, cfg, x) * wavefunction(u, cfg, y)
+        ) / math.sqrt(2.0)
+
+    def dpsi(x, y):
+        return (
+            d_wavefunction(u, cfg, x) * wavefunction(v, cfg, y)
+            + wavefunction(u, cfg, x) * d_wavefunction(v, cfg, y)
+            + d_wavefunction(v, cfg, x) * wavefunction(u, cfg, y)
+            + wavefunction(v, cfg, x) * d_wavefunction(u, cfg, y)
+        ) / math.sqrt(2.0)
+
+    box = ((0.0, a), (0.0, a))
+    dd = quadrature_2d(lambda x, y: dpsi(x, y) ** 2, *box, tol=1e-9)
+    sd = quadrature_2d(lambda x, y: psi(x, y) * dpsi(x, y), *box, tol=1e-9)
+    norm = quadrature_2d(lambda x, y: psi(x, y) ** 2, *box, tol=1e-9)
+    oracle = a * a * 4.0 * (dd / norm - (sd / norm) ** 2)
+    assert qsnr_symmetrized_pair(u, v) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_symmetrized_bump_pair_is_not_superadditive():

@@ -18,13 +18,21 @@ from wellprobe.states import (
     Superposition,
     TruncationWarning,
     _poly_profile,
+    _unit_overlaps,
     amplitudes,
     d_wavefunction,
     mean_energy,
     nbar,
     wavefunction,
 )
-from wellprobe.well import WellConfig, d_eigen_wavefunction, eigen_wavefunction
+from wellprobe.well import (
+    WellConfig,
+    _overlap_products,
+    d_eigen_wavefunction,
+    eigen_wavefunction,
+    overlap_dpsi_dpsi,
+    overlap_psi_dpsi,
+)
 
 CFG = WellConfig(width=1.0, truncation=50)
 
@@ -296,3 +304,65 @@ def test_polynomial_rejects_a_non_integer_order(order):
 def test_polynomial_accepts_numpy_integer_orders():
     state = Polynomial(np.int64(3))
     assert np.array_equal(amplitudes(state, CFG).coefficients, amplitudes(Polynomial(3), CFG).coefficients)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (Polynomial(1), Polynomial(1)),
+        (Polynomial(1), Polynomial(2)),
+        (Polynomial(2), Polynomial(3)),
+        (Polynomial(3), Polynomial(7)),
+        (Polynomial(5), Polynomial(4)),
+        (Eigen(3), Eigen(3)),
+        (Eigen(2), Eigen(5)),
+        (Superposition(1, 3, 0.3), Eigen(2)),
+        (Custom((0.6, 0.0, 0.8)), Superposition(2, 3, 1.1)),
+    ],
+    ids=[
+        "poly1-poly1", "poly1-poly2", "poly2-poly3", "poly3-poly7", "poly5-poly4",
+        "eigen3-eigen3", "eigen2-eigen5", "super-eigen", "custom-super",
+    ],
+)
+def test_unit_overlaps_match_quadrature(u, v):
+    """Exact <u|v>, <u|dv>, <du|dv> against unit-width quadrature, for bumps and level sums."""
+    oracle = (
+        quadrature(lambda x: wavefunction(u, CFG, x) * wavefunction(v, CFG, x), 0.0, 1.0, tol=1e-12),
+        quadrature(lambda x: wavefunction(u, CFG, x) * d_wavefunction(v, CFG, x), 0.0, 1.0, tol=1e-12),
+        quadrature(lambda x: d_wavefunction(u, CFG, x) * d_wavefunction(v, CFG, x), 0.0, 1.0, tol=1e-12),
+    )
+    for exact, quad in zip(_unit_overlaps(u, v), oracle):
+        assert exact == pytest.approx(quad, rel=1e-10, abs=1e-12)
+
+
+def test_level_sum_overlap_paths_agree():
+    """Closed-form entries summed pair by pair equal the FFT products on the level vector.
+
+    Eigen pairs take the pair-by-pair path and are checked against the
+    products; a 12-level custom state takes the products and is checked
+    against the pair-by-pair sum.
+    """
+    unit = WellConfig(width=1.0)
+
+    def close(got, want):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (got, want)
+
+    size = 60
+    for n in range(1, size + 1):
+        level = np.zeros(size)
+        level[n - 1] = 1.0
+        b, c = _overlap_products(level)
+        for m in range(1, size + 1):
+            close(_unit_overlaps(Eigen(m), Eigen(n)), (float(m == n), b[m - 1].real, c[m - 1].real))
+    f = np.random.default_rng(9).normal(size=12)
+    f /= np.linalg.norm(f)
+    grid = [(f[m - 1] * f[n - 1], m, n) for m in range(1, 13) for n in range(1, 13)]
+    close(
+        _unit_overlaps(Custom(tuple(f)), Custom(tuple(f))),
+        (
+            math.fsum(w for w, m, n in grid if m == n),
+            math.fsum(w * overlap_psi_dpsi(m, n, unit) for w, m, n in grid),
+            math.fsum(w * overlap_dpsi_dpsi(m, n, unit) for w, m, n in grid),
+        ),
+    )
