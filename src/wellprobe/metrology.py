@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import quadrature
-from .states import ProbeState, TruncationWarning, _unit_overlaps, amplitudes, d_wavefunction, wavefunction
+from .states import ProbeState, TruncationWarning, _family, _unit_overlaps, amplitudes
 from .well import WellConfig, _overlap_products, overlap_dpsi_dpsi
 
 __all__ = [
@@ -125,15 +125,16 @@ def fi_position(state: ProbeState, config: WellConfig) -> float:
     """Fisher information of an ideal position measurement.
 
     Integrates (d_a p)^2 / p for p(x|a) = f(x; a)^2 at unit width and
-    divides by a^2.  The probability vanishes at the walls, so the integrand
-    is guarded: points where p is zero contribute zero (their analytic limit
-    for all families here), and the unit interval is clipped by 1e-12.
+    divides by a^2; at unit width f = g and d_a f = -s, both from one fused
+    kernel evaluation per batch of nodes.  The probability vanishes at the
+    walls, so the integrand is guarded: points where p is zero contribute
+    zero (their analytic limit for all families here), and the unit interval
+    is clipped by 1e-12.
     """
-    unit = replace(config, width=1.0)
+    kernel = _family(state)._gs
 
     def integrand(u):
-        f = wavefunction(state, unit, u)
-        df = d_wavefunction(state, unit, u)
+        f, df = kernel(u, 1.0, -1.0)
         p = f * f
         dp = 2.0 * f * df
         return np.where(p > 0.0, dp * dp / np.where(p > 0.0, p, 1.0), 0.0)

@@ -66,19 +66,40 @@ class TruncationWarning(UserWarning):
     """Emitted when a basis truncation visibly bites the requested quantity."""
 
 
-class _Levels:
-    """Finite sum of levels, sum_n c_n sqrt(2) sin(n pi u), from (n, c_n) pairs."""
+class _Profile:
+    """A family's g and s, each from its fused kernel ``_gs(u, g_norm, s_norm)``.
 
-    def _sum(self, u, norm, term):
-        parts = [(c * _SQRT2 / norm) * term(n * np.pi * u) for n, c in self._pairs() if c != 0.0]
-        return sum(parts[1:], parts[0])
+    The kernel returns (g(u) / g_norm, s(u) / s_norm) from one pass over u,
+    sharing the intermediates of the two; a norm of None skips its term and
+    returns None in its place.  It neither masks nor clips: u must lie in
+    [0, 1].
+    """
 
     def _g(self, u, norm=1.0):
-        return self._sum(u, norm, np.sin)
+        return self._gs(u, norm, None)[0]
 
     def _s(self, u, norm=1.0):
-        # with v = n pi u: g/2 + u g' = c (sqrt(2)/2) [sin(v) + 2 v cos(v)]
-        return self._sum(u, 2.0 * norm, lambda v: np.sin(v) + 2.0 * v * np.cos(v))
+        return self._gs(u, None, norm)[1]
+
+
+class _Levels(_Profile):
+    """Finite sum of levels, sum_n c_n sqrt(2) sin(n pi u), from (n, c_n) pairs."""
+
+    def _gs(self, u, g_norm, s_norm):
+        # with v = n pi u: g = c sqrt(2) sin(v), g/2 + u g' = c (sqrt(2)/2) [sin(v) + 2 v cos(v)]
+        g = s = None
+        for n, c in self._pairs():
+            if c == 0.0:
+                continue
+            v = n * np.pi * u
+            sin = np.sin(v)
+            if g_norm is not None:
+                term = (c * _SQRT2 / g_norm) * sin
+                g = term if g is None else g + term
+            if s_norm is not None:
+                term = (c * _SQRT2 / (2.0 * s_norm)) * (sin + 2.0 * v * np.cos(v))
+                s = term if s is None else s + term
+        return g, s
 
     def _amplitudes(self, size):
         coeff = np.zeros(size)
@@ -135,23 +156,28 @@ def _poly_height(p: int) -> float:
 _SQUARING_MAX = 6
 
 
-def _power(w: np.ndarray, n: int) -> np.ndarray:
-    """w^n for a whole n >= 1: a few multiplies where that is accurate, pow beyond."""
-    if n > _SQUARING_MAX:
-        return w**n
-    result = None
-    while n:
-        if n & 1:
-            result = w if result is None else result * w
-        n >>= 1
-        if n:
-            w = w * w
-    return result
+def _powers(w: np.ndarray, *exponents: int) -> list:
+    """w^n for each whole n >= 1 given: products of the shared squares w, w^2,
+    w^4, ... in binary order while every n is at most _SQUARING_MAX, else pow."""
+    top = max(exponents)
+    if top > _SQUARING_MAX:
+        return [w**n for n in exponents]
+    squares = [w]
+    while 2 ** len(squares) <= top:
+        squares.append(squares[-1] * squares[-1])
+    out = []
+    for n in exponents:
+        result = None
+        for bit, square in enumerate(squares):
+            if n >> bit & 1:
+                result = square if result is None else result * square
+        out.append(result)
+    return out
 
 
 def _poly_profile(p: int, u: np.ndarray) -> np.ndarray:
     """Unit-width polynomial bump evaluated at u in [0, 1]."""
-    return _poly_height(p) * (1.0 - _power(2.0 * u - 1.0, 2 * p))
+    return Polynomial(p)._g(u)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +225,7 @@ def _poly_coefficients(p: int, truncation: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Profile):
     """Bump profile with a whole flatness exponent p >= 1."""
 
     p: int
@@ -208,13 +234,18 @@ class Polynomial:
         if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
             raise ValueError(f"polynomial order must be a whole number >= 1, got {self.p!r}")
 
-    def _g(self, u, norm=1.0):
-        return _poly_profile(self.p, np.clip(u, 0.0, 1.0)) / norm
-
-    def _s(self, u, norm=1.0):
-        u = np.clip(u, 0.0, 1.0)
-        du = _poly_height(self.p) * (-4.0 * self.p) * _power(2.0 * u - 1.0, 2 * self.p - 1)
-        return (0.5 * _poly_profile(self.p, u) + u * du) / norm
+    def _gs(self, u, g_norm, s_norm):
+        # with w = 2u - 1: g = h (1 - w^(2p)), g/2 + u g' = g/2 - 4 p h u w^(2p-1)
+        p, h = self.p, _poly_height(self.p)
+        w = 2.0 * u - 1.0
+        if s_norm is None:
+            (even,) = _powers(w, 2 * p)
+        else:
+            odd, even = _powers(w, 2 * p - 1, 2 * p)
+        profile = h * (1.0 - even)
+        g = None if g_norm is None else profile / g_norm
+        s = None if s_norm is None else (0.5 * profile + u * (h * (-4.0 * p) * odd)) / s_norm
+        return g, s
 
     def _amplitudes(self, size):
         return np.array(_poly_coefficients(self.p, size))
@@ -263,7 +294,7 @@ ProbeState = Union[Eigen, Superposition, Polynomial, Parabolic, Custom]
 
 
 def _family(state: ProbeState) -> ProbeState:
-    # every family defines _g(u, norm) = g(u) / norm, _s(u, norm), _amplitudes(size), _energy()
+    # every family defines the fused kernel _gs(u, g_norm, s_norm), _amplitudes(size), _energy()
     if not isinstance(state, ProbeState):
         raise TypeError(f"unknown probe state {state!r}")
     return state
@@ -360,8 +391,9 @@ def wavefunction(state: ProbeState, config: WellConfig, x: np.ndarray) -> np.nda
     a = config.width
     x = np.asarray(x, dtype=float)
     inside = (x >= 0) & (x <= a)
+    # the kernel sees points outside the box at u = 0, where no family overflows;
     # families fold norm into a scalar prefactor where they can: no extra array pass
-    return np.where(inside, _family(state)._g(x / a, math.sqrt(a)), 0.0)
+    return np.where(inside, _family(state)._g(np.where(inside, x / a, 0.0), math.sqrt(a)), 0.0)
 
 
 def d_wavefunction(state: ProbeState, config: WellConfig, x: np.ndarray) -> np.ndarray:
@@ -374,7 +406,7 @@ def d_wavefunction(state: ProbeState, config: WellConfig, x: np.ndarray) -> np.n
     a = config.width
     x = np.asarray(x, dtype=float)
     inside = (x >= 0) & (x <= a)
-    return np.where(inside, _family(state)._s(x / a, -(a**1.5)), 0.0)
+    return np.where(inside, _family(state)._s(np.where(inside, x / a, 0.0), -(a**1.5)), 0.0)
 
 
 def mean_energy(state: ProbeState, config: WellConfig) -> float:

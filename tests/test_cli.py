@@ -1,9 +1,15 @@
 """Command-line surface: golden CSV output, grammar, exit codes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import wellprobe
+from wellprobe import inference
 from wellprobe.cli import UsageError, main, parse_grid, parse_index_range, parse_state
 from wellprobe.states import Eigen, Parabolic, Polynomial, Superposition
 
@@ -245,6 +251,29 @@ def test_width_outside_the_float_range_is_named(width, capsys):
     err = capsys.readouterr().err
     assert f"width {float(width)!r}" in err
     assert "float range" in err
+
+
+@pytest.mark.parametrize("width", ["1e300", "1e308", "1e-300"])
+def test_montecarlo_width_outside_the_float_range_is_named(width, capsys, monkeypatch):
+    estimates = []
+    monkeypatch.setattr(inference, "mle_estimate", lambda *args: estimates.append(args))
+    assert main(["montecarlo", "--a", width, "--M", "200", "--replicas", "30"]) == 3
+    err = capsys.readouterr().err
+    assert f"width {float(width)!r}" in err
+    assert "float range" in err
+    assert estimates == []  # it fails before the first replica
+
+
+def test_module_entry_point_matches_main(capsys):
+    assert main(["energy", "--nmax", "2"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(wellprobe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wellprobe", "energy", "--nmax", "2"],
+        capture_output=True, env=env, check=True, timeout=60,
+    )
+    assert proc.stdout == expected.encode()
 
 
 def test_negative_time_is_a_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Sampling, likelihood, and the replicated estimation experiment."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,8 +15,17 @@ from wellprobe.inference import (
     mle_estimate,
     sample_positions,
 )
+from wellprobe.metrology import fi_position
 from wellprobe.quadrature import quadrature
-from wellprobe.states import Eigen, Parabolic, Polynomial, Superposition, wavefunction
+from wellprobe.states import (
+    Custom,
+    Eigen,
+    Parabolic,
+    Polynomial,
+    Superposition,
+    d_wavefunction,
+    wavefunction,
+)
 from wellprobe.well import WellConfig
 
 CFG = WellConfig(width=1.0, truncation=50)
@@ -223,25 +233,98 @@ def test_mle_falls_back_to_golden_section_when_the_score_keeps_its_sign():
     assert cap - 10 * 1e-8 * cap <= clipped <= cap
 
 
-def _count_profile_evaluations(monkeypatch):
+def _count_kernel_evaluations(monkeypatch, state):
+    """Sizes of the arguments of every fused g/s kernel call of the state's family."""
     sizes = []
-    for name in ("wavefunction", "d_wavefunction"):
-        inner = getattr(inference, name)
+    family = type(state)
+    inner = family._gs
 
-        def counted(state, config, x, inner=inner):
-            sizes.append(np.size(x))
-            return inner(state, config, x)
+    def counted(self, u, g_norm, s_norm):
+        sizes.append(np.size(u))
+        return inner(self, u, g_norm, s_norm)
 
-        monkeypatch.setattr(inference, name, counted)
+    monkeypatch.setattr(family, "_gs", counted)
     return sizes
 
 
 @pytest.mark.parametrize("state", [Polynomial(3), Eigen(2)], ids=["poly:3", "eigen:2"])
 def test_experiment_work_counts(state, monkeypatch):
     """At most 30 profile evaluations per estimate and one CDF table per experiment."""
-    sizes = _count_profile_evaluations(monkeypatch)
+    sizes = _count_kernel_evaluations(monkeypatch, state)
+    fi_position(state, CFG)
+    information = len(sizes)  # the quadrature nodes of the Fisher information
     m, replicas = 2000, 15
     crlb_experiment(state, CFG, m, replicas, seed=0)
-    assert sizes.count(4096) == 1
-    assert sizes.count(m) <= 30 * replicas
-    assert len(sizes) == sizes.count(m) + 1
+    experiment = sizes[information:]
+    assert experiment.count(4096) == 1
+    assert replicas < experiment.count(m) <= 30 * replicas
+    assert len(experiment) == experiment.count(m) + 1 + information
+
+
+@pytest.mark.parametrize("width", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("state", [Polynomial(3), Eigen(2)], ids=["poly:3", "eigen:2"])
+def test_experiment_emits_no_warning(state, width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crlb_experiment(state, WellConfig(width, 50), 2000, 15, seed=3)
+
+
+# Every family, bumps on both sides of the binary-powering limit (p <= 3 and p > 3).
+PIN_STATES = {
+    "poly:1": Polynomial(1),
+    "poly:3": Polynomial(3),
+    "poly:4": Polynomial(4),
+    "poly:40": Polynomial(40),
+    "parabolic": Parabolic(),
+    "eigen:2": Eigen(2),
+    "super:1:2:0.4": Superposition(1, 2, 0.4),
+    "custom": Custom((0.5, 0.0, -0.5, 0.5, 0.0, 0.5)),
+}
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _pinned_batch(state, width):
+    batch = sample_positions(state, WellConfig(width, 50), 500, seed=23)
+    top = batch.largest
+    assert top == float(batch.outcomes.max())
+    return batch, (top, 0.5 * (top + width), width, 1.3 * width)
+
+
+@pytest.mark.parametrize("width", [0.37, 1.0, 7.3])
+@pytest.mark.parametrize("state", PIN_STATES.values(), ids=PIN_STATES.keys())
+def test_likelihood_and_score_are_the_profile_formulas_bit_for_bit(state, width):
+    """The guard-free kernel path gives the bytes of wavefunction and d_wavefunction."""
+    batch, candidates = _pinned_batch(state, width)
+    x = batch.outcomes
+    for a in candidates:
+        cfg = WellConfig(a, 50)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = wavefunction(state, cfg, x) ** 2
+            likelihood = -math.inf if np.any(p <= 0.0) else float(np.sum(np.log(p)))
+            score = 2.0 * float(np.sum(d_wavefunction(state, cfg, x) / wavefunction(state, cfg, x)))
+        assert _bits(log_likelihood(batch, a)) == _bits(likelihood)
+        assert _bits(inference._score(batch, a)) == _bits(score)
+    if isinstance(state, Polynomial):  # the largest outcome sits on the bump's wall node
+        assert log_likelihood(batch, candidates[0]) == -math.inf
+        assert not math.isfinite(inference._score(batch, candidates[0]))
+
+
+@pytest.mark.parametrize("width", [0.37, 1.0, 7.3])
+@pytest.mark.parametrize("state", PIN_STATES.values(), ids=PIN_STATES.keys())
+def test_sorted_draws_are_plain_interpolation_bit_for_bit(state, width):
+    cfg = WellConfig(width, 50)
+    table = inference._cdf_table(state, cfg)
+    xs, cdf = table
+    for seed in range(25):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        plain = np.interp(rng.random(2000), cdf, xs)
+        assert inference._draw(table, state, cfg, 2000, seed).outcomes.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("outcomes", [[0.2, -0.1], [0.2, math.nan], [0.2, math.inf]])
+def test_batch_rejects_outcomes_off_the_half_line(outcomes):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SampleBatch(outcomes=np.array(outcomes), true_width=1.0, state=Eigen(1), seed=0)
