@@ -195,10 +195,10 @@ def cmd_time(args) -> None:
     for a in widths:
         cfg = WellConfig(width=a, truncation=args.truncation)
         fine_cfg = replace(cfg, truncation=2 * args.truncation)
-        for t in times:
-            qfi = qfi_parabolic_time(cfg, t)
-            residual = _relative_change(qfi, qfi_parabolic_time(fine_cfg, t))
-            rows.append([_fmt(a), _fmt(t), _fmt(a * a * qfi), _fmt(residual)])
+        qfi = qfi_parabolic_time(cfg, times)
+        residual = _relative_change(qfi, qfi_parabolic_time(fine_cfg, times))
+        for t, q, r in zip(times, qfi, residual):
+            rows.append([_fmt(a), _fmt(t), _fmt(a * a * q), _fmt(r)])
     _emit(args.output, ["a", "t", "qsnr", "residual"], rows)
 
 

@@ -14,6 +14,7 @@ forming the tables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,8 +43,12 @@ class WellConfig:
     def __post_init__(self):
         if not 0 < self.width < math.inf:
             raise ValueError(f"width must be positive and finite, got {self.width}")
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        if (
+            isinstance(self.truncation, bool)
+            or not isinstance(self.truncation, numbers.Integral)
+            or self.truncation < 1
+        ):
+            raise ValueError(f"truncation must be a whole number >= 1, got {self.truncation!r}")
 
 
 def _check_n(n: int) -> None:

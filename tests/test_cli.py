@@ -10,8 +10,10 @@ import pytest
 
 import wellprobe
 from wellprobe import inference
+from wellprobe.dynamics import qfi_parabolic_time, truncation_residual
 from wellprobe.cli import UsageError, main, parse_grid, parse_index_range, parse_state
 from wellprobe.states import Eigen, Parabolic, Polynomial, Superposition
+from wellprobe.well import WellConfig
 
 GOLDEN_STATIC_EIGEN = (
     "state,a,qfi,fi_position,fi_energy,qsnr\n"
@@ -77,6 +79,19 @@ def test_energy_golden(capsys):
 def test_time_golden(capsys):
     assert main(["time", "--a", "1", "--t", "0:0.02:3"]) == 0
     assert capsys.readouterr().out == GOLDEN_TIME
+
+
+def test_time_grid_rows_equal_single_time_calls(capsys):
+    """One series call per truncation gives the rows that per-time calls give."""
+    assert main(["--truncation", "400", "time", "--t", "0:2:101"]) == 0
+    cfg = WellConfig(width=1.0, truncation=400)
+    lines = ["a,t,qsnr,residual"]
+    for i in range(101):
+        t = i * 0.02
+        q = qfi_parabolic_time(cfg, t)
+        r = truncation_residual(cfg, t, 400, 800)
+        lines.append(",".join(format(v, ".12g") for v in (1.0, t, q, r)))
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_entangled_golden(capsys):

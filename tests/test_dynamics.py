@@ -70,8 +70,16 @@ def two_mode_exact(t):
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        EvolvedState(Parabolic(), -0.1, CFG)
+    """Negative and non-finite times, alone or inside a grid."""
+    for bad, reason in [(-0.1, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"),
+                        (-math.inf, "finite")]:
+        with pytest.raises(ValueError, match=reason):
+            EvolvedState(Parabolic(), bad, CFG)
+        for times in (bad, [0.0, 0.5, bad]):
+            with pytest.raises(ValueError, match=reason):
+                qfi_parabolic_time(CFG, times)
+        with pytest.raises(ValueError, match=reason):
+            truncation_residual(CFG, bad, 50, 100)
 
 
 def test_evolution_is_unitary():
@@ -322,3 +330,91 @@ def test_truncation_residual_properties():
     fine = truncation_residual(CFG, 0.5, 50, 100)
     assert coarse > fine > 0.0
     assert fine == pytest.approx(2.834831e-4, rel=1e-4)
+
+
+def _dense_double_sums(size, width, t):
+    """The trigonometric double sums over every odd pair n != m, one cos and sin per pair."""
+    odd = np.arange(1, size + 1, 2, dtype=float)
+    n = odd[:, None]
+    m = odd[None, :]
+    off = n != m
+    diff = np.where(off, m * m - n * n, 1.0)
+    delta = (n * n - m * m) * math.pi**2 * t / (2.0 * width**2)
+    inv = 1.0 / (n * n * m * m)
+    sum_sq = n * n + m * m
+    cos_part = float(np.sum(np.where(off, np.cos(delta) * sum_sq * inv / diff**2, 0.0)))
+    sin_part = float(np.sum(np.where(off, np.sin(delta) * sum_sq * inv / diff, 0.0)))
+    imag_part = float(np.sum(np.where(off, np.sin(delta) * inv / diff, 0.0)))
+    return cos_part, sin_part, imag_part
+
+
+def _parabolic_from_sums(sums, a, t, pi=math.pi):
+    """The parabolic QFI assembled from its three double sums (numbers or mpmath values)."""
+    cos_part, sin_part, imag_part = sums
+    cos_sum = 3840 / (pi**6 * a**2) * cos_part
+    sin_sum = -1920 * t / (pi**4 * a**4) * sin_part
+    imag = -10 * t / a**3 + 1920 / (pi**6 * a) * imag_part
+    return 4 * (120 * t * t / a**6 + 43 / (12 * a**2) + cos_sum + sin_sum - imag * imag)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 51, 400, 1600])
+def test_phase_vectors_match_the_dense_trig_sum(size):
+    for a in (0.37, 1.0, 4.0):
+        for t in (0.0, 0.013, 0.3, 2.0, 7.5):
+            dense = _parabolic_from_sums(_dense_double_sums(size, a, t), a, t)
+            value = qfi_parabolic_time(WellConfig(width=a, truncation=size), t)
+            assert value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 50, 51, 400, 800])
+def test_time_grid_equals_single_time_calls_bit_for_bit(size):
+    times = np.linspace(0.0, 7.5, 41)
+    for a in (0.37, 1.0, 4.0):
+        cfg = WellConfig(width=a, truncation=size)
+        grid = qfi_parabolic_time(cfg, times)
+        assert isinstance(grid, np.ndarray) and grid.shape == times.shape
+        assert grid.tolist() == [qfi_parabolic_time(cfg, float(t)) for t in times]
+        residuals = truncation_residual(cfg, times, size, 2 * size)
+        assert residuals.tolist() == [truncation_residual(cfg, float(t), size, 2 * size) for t in times]
+    assert isinstance(qfi_parabolic_time(CFG, 0.3), float)
+    assert isinstance(truncation_residual(CFG, 0.3, 50, 100), float)
+    assert qfi_parabolic_time(CFG, [0.3]).tolist() == [qfi_parabolic_time(CFG, 0.3)]
+
+
+def _mp_parabolic(size, t):
+    """The parabolic QFI at unit width from its double sums at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        theta = mpmath.pi**2 * t / 2
+        cos_part = sin_part = imag_part = mpmath.mpf(0)
+        odd = range(1, size + 1, 2)
+        for n in odd:
+            for m in odd:
+                if n == m:
+                    continue
+                delta = (n * n - m * m) * theta
+                inv = mpmath.mpf(1) / (n * n * m * m * (m * m - n * n))
+                cos_part += mpmath.cos(delta) * (n * n + m * m) * inv / (m * m - n * n)
+                sin_part += mpmath.sin(delta) * (n * n + m * m) * inv
+                imag_part += mpmath.sin(delta) * inv
+        return _parabolic_from_sums((cos_part, sin_part, imag_part), 1, t, pi=mpmath.pi)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.02, 0.3, 0.96, 2.0])
+def test_truncation_residual_matches_40_digit_sums(t):
+    q50, q100 = _mp_parabolic(50, t), _mp_parabolic(100, t)
+    exact = float(abs(q100 - q50) / q100)
+    assert truncation_residual(CFG, t, 50, 100) == pytest.approx(exact, rel=1e-9)
+
+
+def test_large_basis_parabolic_call_stays_small():
+    cfg = WellConfig(width=1.0, truncation=3200)
+    tracemalloc.start()
+    try:
+        qfi_parabolic_time(cfg, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three 1600 x 1600 float weight matrices are 61 MB
+    assert peak <= 100_000_000

@@ -133,3 +133,14 @@ def test_table_symmetries_are_exact():
     assert np.array_equal(table.dpsi_dpsi, table.dpsi_dpsi.T)
     assert np.all(np.diag(table.psi_dpsi) == 0.0)
     assert table.psi_dpsi.shape == (40, 40)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "50", None])
+def test_non_integral_truncation_rejected(bad):
+    with pytest.raises(ValueError, match="whole number"):
+        WellConfig(width=1.0, truncation=bad)
+
+
+def test_numpy_integer_truncation_accepted():
+    assert WellConfig(width=1.0, truncation=np.int64(7)).truncation == 7
+    assert WellConfig(width=1.0, truncation=np.uint16(7)).truncation == 7
